@@ -92,7 +92,11 @@ def _steplen(x, dx):
 
 
 def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
-    """Core predictor-corrector loop; returns (y, iters, pres, dres, gap, tag)."""
+    """Core predictor-corrector loop; returns (y, iters, pres, dres, gap, tag).
+
+    y and the residuals are those of the best iterate seen; iters is the
+    number of iterations run.
+    """
     m = len(fs)
     n0 = f0.shape[0]
     flagged = [i for i in range(m) if nonneg[i]]
@@ -142,7 +146,7 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
         gap = gap_abs / (1.0 + abs(b @ y) + abs(np.vdot(cmat, x)))
         err = max(pres, dres, gap)
         if best is None or err < 0.9999 * best[0]:
-            best = (err, y.copy(), pres, dres, gap, it)
+            best = (err, y.copy(), pres, dres, gap)
             noimp = 0
         else:
             noimp += 1
@@ -212,12 +216,15 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
         except np.linalg.LinAlgError:
             tag = "numfail"
             break
+    else:
+        it = max_iter
+    # a break at loop index it comes after it iterations
     if best is None:
-        return y * cscale / s, 0, np.inf, np.inf, np.inf, "numfail"
-    err, yb, pres, dres, gap, itb = best
+        return y * cscale / s, it, np.inf, np.inf, np.inf, "numfail"
+    err, yb, pres, dres, gap = best
     if pres < feas_tol and dres < feas_tol and gap < gap_tol:
         tag = "converged"
-    return yb * cscale / s, itb, pres, dres, gap, tag
+    return yb * cscale / s, it, pres, dres, gap, tag
 
 
 def solve_sdp(problem, feas_tol=DEFAULT_FEAS_TOL, gap_tol=DEFAULT_GAP_TOL,

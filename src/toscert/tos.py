@@ -56,7 +56,7 @@ class IterateTrace:
         return [self.alpha ** 2 * r for r in self.residual_norm2]
 
     def to_csv(self, path, zstar=None):
-        zs = np.asarray(self.z)
+        zs = None if zstar is None else np.asarray(self.z)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["k", "residual_norm2", "min_residual_norm2_so_far",

@@ -1,10 +1,13 @@
 """Tests for the box-constrained optimal control demo."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
+from scipy.optimize import lsq_linear
 
 from toscert import lqrdemo, tos
 
@@ -79,6 +82,77 @@ def test_assemble_oracles_clamps_inputs_only():
     assert abs(l_h - max(np.linalg.norm(inst.q, 2),
                          np.linalg.norm(inst.r, 2))) < 1e-12
     assert abs(l_h - np.linalg.norm(e, 2)) < 1e-9
+
+
+def _dense_oracle(inst):
+    """The oracles from the dense cost matrix and constraint rows."""
+    oracle, layout, e, _ = lqrdemo.assemble_oracles(inst)
+    a_c, b_c = lqrdemo.dynamics_constraints(inst, layout)
+    return dataclasses.replace(
+        oracle, prox_g=tos.AffineSubspaceProx(a_c, b_c),
+        grad_h=lambda w: e @ w, objective=lambda w: 0.5 * float(w @ (e @ w)))
+
+
+@pytest.mark.parametrize("n, m, horizon", [(1, 1, 1), (4, 2, 5), (20, 5, 20)])
+def test_block_oracles_match_dense(n, m, horizon):
+    inst = lqrdemo.build_instance(11, n, m, horizon)
+    oracle, layout, _, _ = lqrdemo.assemble_oracles(inst)
+    dense = _dense_oracle(inst)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        w = rng.standard_normal(layout.dim)
+        assert np.abs(oracle.prox_g(1.0, w) - dense.prox_g(1.0, w)).max() \
+            <= 1e-12
+        g = dense.grad_h(w)
+        assert np.abs(oracle.grad_h(w) - g).max() <= 1e-12 * np.abs(g).max()
+        f = dense.objective(w)
+        assert abs(oracle.objective(w) - f) <= 1e-12 * abs(f)
+
+
+def test_run_matches_dense_reference():
+    inst = lqrdemo.build_instance(0, 20, 5, 20)
+    oracle, layout, _, l_h = lqrdemo.assemble_oracles(inst)
+    lam = 1.5
+    config = tos.TosConfig(alpha=(2.0 - lam) / l_h, lam=lam, max_iter=300)
+    z0 = np.zeros(layout.dim)
+    got = tos.run(oracle, z0, config)
+    want = tos.run(_dense_oracle(inst), z0, config)
+    for name in ("z", "x_b", "y", "x_a"):
+        diff = np.abs(np.array(getattr(got, name))
+                      - np.array(getattr(want, name)))
+        assert diff.max() <= 1e-12, name
+    assert np.allclose(got.objective, want.objective, rtol=1e-12, atol=0)
+
+
+def test_active_input_box():
+    # criterion 11's instance, whose box is inactive, pushed onto the box
+    n, m, horizon = 4, 2, 5
+    inst = lqrdemo.build_instance(7, n, m, horizon)
+    inst = dataclasses.replace(inst, x_init=3.0 * inst.x_init)
+    # condensed reference: x = F u + g with the states eliminated, the
+    # inputs solved as a bounded least-squares problem by BVLS
+    fmat = np.zeros(((horizon + 1) * n, horizon * m))
+    g = np.zeros((horizon + 1) * n)
+    g[:n] = inst.x_init
+    for t in range(1, horizon + 1):
+        g[t * n:(t + 1) * n] = inst.a @ g[(t - 1) * n:t * n]
+        fmat[t * n:(t + 1) * n] = inst.a @ fmat[(t - 1) * n:t * n]
+        fmat[t * n:(t + 1) * n, (t - 1) * m:t * m] = inst.b
+    qbar = np.kron(np.eye(horizon + 1), inst.q)
+    hess = fmat.T @ qbar @ fmat + np.kron(np.eye(horizon), inst.r)
+    lin = fmat.T @ qbar @ g
+    chol = cholesky(hess, lower=True)
+    ref = lsq_linear(chol.T, -solve_triangular(chol, lin, lower=True),
+                     bounds=(-1.0, 1.0), method="bvls", tol=1e-15)
+    u = ref.x
+    f_ref = 0.5 * u @ hess @ u + lin @ u + 0.5 * g @ qbar @ g
+    assert np.sum(np.abs(u) >= 1.0 - 1e-9) >= 1
+
+    oracle, layout, _, l_h = lqrdemo.assemble_oracles(inst)
+    lam = 1.0
+    config = tos.TosConfig(alpha=(2.0 - lam) / l_h, lam=lam, max_iter=1000)
+    trace = tos.run(oracle, np.zeros(layout.dim), config)
+    assert abs(trace.objective[-1] - f_ref) <= 1e-6 * abs(f_ref)
 
 
 def test_assemble_oracles_objective_and_classes():

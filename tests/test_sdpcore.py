@@ -116,3 +116,11 @@ def test_tolerance_validation():
         solve_sdp(prob, feas_tol=0.0)
     with pytest.raises(ValueError):
         solve_sdp(prob, gap_tol=1.0)
+
+
+def test_iterations_counts_the_iterations_run():
+    inst, _ = analytic_instances()[2]
+    sol = solve_sdp(inst, max_iter=3)
+    assert sol.status != STATUS_OPTIMAL
+    assert sol.iterations == 3
+    assert solve_sdp(inst).iterations > 3
