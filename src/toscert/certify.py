@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, null_space
+from scipy.linalg import null_space
 
 from . import sdpcore
-from .lmikit import (LmiBase, RegularityClass, build_dual_data, build_qc_triplet,
+from .lmikit import (RegularityClass, build_dual_data, build_qc_triplet,
                      build_w0, build_w1, build_w2, eta_vector, max_eig,
                      schur_extend)
 
@@ -95,8 +95,7 @@ def check_assumption1(classes):
 
 
 def _qc_mats(alpha, classes):
-    q1, q2, q3 = build_qc_triplet(alpha, classes.f, classes.g, classes.h)
-    return [q1.base, q2.base, q3.base]
+    return list(build_qc_triplet(alpha, classes.f, classes.g, classes.h))
 
 
 def _reduce_nsd(mats, dim):
@@ -150,7 +149,7 @@ def _case1_classes(Lh):
 
 
 def _audit_residual(alpha, lam, theta, sigma, classes):
-    m = build_w0(lam, theta, alpha).base.copy()
+    m = build_w0(lam, theta, alpha)
     for s, q in zip(sigma, _qc_mats(alpha, classes)):
         m = m + s * q
     return max_eig(m)
@@ -166,6 +165,9 @@ def _require_case1(classes):
             "nonsmooth f and g, and Lipschitz h")
 
 
+# W0, W1 and W2 share the relaxation part lam^2 _RESID_P + lam _LAM_LIN, and
+# _RESID_P = eta(1) eta(1)^T; theta enters W0 as theta / alpha^2 _RESID_P and
+# rho2 enters W2 as (1 - rho2) _E.
 _RESID_P = np.array([
     [1.0, 0.0, -1.0, 0.0],
     [0.0, 0.0, 0.0, 0.0],
@@ -180,81 +182,89 @@ _LAM_LIN = np.array([
     [-1.0, 0.0, 1.0, 0.0],
 ])
 
+_E = np.diag([0.0, 0.0, 0.0, 1.0])
 
-def certify_residual_rate(alpha, lam, classes, feas_tol=None, gap_tol=None,
-                          max_iter=None):
+
+def _rate_program(sense, const, rate, qs, u, lam=None, fold=None):
+    """The LinearSdp of const + t rate + R(lam) + sum s_i Q_i <= 0 on span(u).
+
+    t >= 0 is the rate, minimized for sense = 1 and maximized for sense = -1;
+    R(lam) = lam^2 _RESID_P + lam _LAM_LIN. A pinned lam puts R(lam) in the
+    constant. With lam=None, lam is the variable after t: its square enters
+    through the Schur border eta(lam) with corner -1, and
+    LAM_MIN <= lam <= LAM_MAX sits on the diagonal. The multipliers s >= 0
+    are the remaining variables, unless fold = S fixes s = S (t, lam): then
+    S is folded into the coefficients and s >= 0 sits on the diagonal.
+    """
+    joint = lam is None
+    if joint:
+        coefs = [const, rate, _LAM_LIN]
+    else:
+        coefs = [const + lam ** 2 * _RESID_P + lam * _LAM_LIN, rate]
+    if fold is None:
+        coefs += qs
+    else:
+        coefs[1:] = [w + sum(s * q for s, q in zip(col, qs))
+                     for w, col in zip(coefs[1:], fold.T)]
+    tail = np.zeros((len(coefs), 2 * joint + (0 if fold is None else len(qs))))
+    if joint:
+        u = np.pad(u, (0, 1))
+        u[4, -1] = 1.0
+        coefs = [np.pad(m, (0, 1)) for m in coefs]
+        coefs[0][4, 4] = -1.0
+        coefs[2][:4, 4] = coefs[2][4, :4] = eta_vector(1.0)
+        tail[0, :2] = LAM_MIN, -LAM_MAX
+        tail[2, :2] = -1.0, 1.0
+    if fold is not None:
+        tail[1:, 2:] = -fold.T
+    k = u.shape[1]
+    mats = []
+    for m, d in zip(coefs, tail):
+        p = np.diag(np.concatenate([np.zeros(k), d]))
+        p[:k, :k] = u.T @ m @ u
+        mats.append(p)
+    c = np.zeros(len(mats) - 1)
+    c[0] = sense
+    nonneg = [True] * c.size
+    if joint:
+        nonneg[1] = False
+    return sdpcore.LinearSdp(c, mats[0], tuple(mats[1:]), tuple(nonneg))
+
+
+def _unpack(sol, lam):
+    """(rate, lam, multipliers) from the solution of a _rate_program."""
+    if lam is not None:
+        return float(sol.y[0]), lam, tuple(float(v) for v in sol.y[1:])
+    lam = float(min(max(sol.y[1], LAM_MIN), LAM_MAX))
+    return float(sol.y[0]), lam, tuple(float(v) for v in sol.y[2:])
+
+
+def certify_residual_rate(alpha, lam, classes,
+                          feas_tol=sdpcore.DEFAULT_FEAS_TOL,
+                          gap_tol=sdpcore.DEFAULT_GAP_TOL,
+                          max_iter=sdpcore.DEFAULT_MAX_ITER):
     """Maximal theta with W0 + sum sigma_i Q_i <= 0 at fixed (alpha, lam).
 
     With lam=None the relaxation parameter is optimized jointly through the
-    Schur-extended form, searched over [LAM_MIN, LAM_MAX].
+    Schur-extended form, searched over [LAM_MIN, LAM_MAX]. A certificate is
+    issued only from an optimal solve.
     """
     _require_case1(classes)
     if not alpha > 0:
         raise CertificationError("alpha must be positive")
-    kw = _solver_kwargs(feas_tol, gap_tol, max_iter)
-    qs = _qc_mats(alpha, classes)
-    if lam is not None:
-        lam2 = np.zeros((4, 4))
-        lam2[np.ix_([0, 2], [0, 2])] = lam ** 2 * np.array([[1, -1], [-1, 1]])
-        f0 = lam2 + lam * _LAM_LIN
-        fs = [_RESID_P / alpha ** 2] + qs
-        prob = sdpcore.LinearSdp(
-            np.array([-1.0] + [0.0] * 3), f0, tuple(fs), (True,) * 4)
-        sol = sdpcore.solve_sdp(prob, **kw)
-        theta, sigma = float(sol.y[0]), tuple(float(v) for v in sol.y[1:])
-        lam_out = lam
-    else:
-        k = 5
-        def pad(m, lamcoef=0.0):
-            p = np.zeros((k + 2, k + 2))
-            p[:k, :k] = m
-            p[k, k] = -lamcoef
-            p[k + 1, k + 1] = lamcoef
-            return p
-        f0 = pad(np.diag([0.0, 0.0, 0.0, 0.0, -1.0]))
-        f0[k, k] = LAM_MIN
-        f0[k + 1, k + 1] = -LAM_MAX
-        f_theta = pad(_emb5(_RESID_P / alpha ** 2))
-        f_lam = pad(_emb5(_LAM_LIN) + _border_eta(), 1.0)
-        fs = [f_theta, f_lam] + [pad(_emb5(q)) for q in qs]
-        prob = sdpcore.LinearSdp(
-            np.array([-1.0, 0.0, 0.0, 0.0, 0.0]), f0, tuple(fs),
-            (True, False, True, True, True))
-        sol = sdpcore.solve_sdp(prob, **kw)
-        theta = float(sol.y[0])
-        lam_out = float(min(max(sol.y[1], LAM_MIN), LAM_MAX))
-        sigma = tuple(float(v) for v in sol.y[2:])
+    prob = _rate_program(-1.0, np.zeros((4, 4)), _RESID_P / alpha ** 2,
+                         _qc_mats(alpha, classes), np.eye(4), lam)
+    sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
+    theta, lam_out, sigma = _unpack(sol, lam)
     if sol.status == sdpcore.STATUS_INFEASIBLE or theta <= 0:
         raise CertificationError("no positive theta at this (alpha, lam)")
+    if sol.status != sdpcore.STATUS_OPTIMAL:
+        raise CertificationError(
+            f"residual-rate program ended {sol.status} at this (alpha, lam)")
     margin = _audit_residual(alpha, lam_out, theta, sigma, classes)
     return RateCertificate(
         mode=MODE_RESIDUAL, alpha=alpha, lam=lam_out, sigma=sigma,
         margin=margin, provenance="sdp", theta=theta)
-
-
-def _emb5(m):
-    p = np.zeros((5, 5))
-    p[:4, :4] = m
-    return p
-
-
-def _border_eta():
-    """d/d lam of the Schur border for eta = (lam, 0, -lam, 0)."""
-    p = np.zeros((5, 5))
-    p[0, 4] = p[4, 0] = 1.0
-    p[2, 4] = p[4, 2] = -1.0
-    return p
-
-
-def _solver_kwargs(feas_tol, gap_tol, max_iter):
-    kw = {}
-    if feas_tol is not None:
-        kw["feas_tol"] = feas_tol
-    if gap_tol is not None:
-        kw["gap_tol"] = gap_tol
-    if max_iter is not None:
-        kw["max_iter"] = max_iter
-    return kw
 
 
 # Equal deviations of x_B, y, x_A and z: v^T W1 v = v^T Q_i v = 0 for every
@@ -270,8 +280,9 @@ _FACE_BASIS = np.array([
 ])
 
 
-def certify_objective_rate(alpha, Lf, Lh, feas_tol=None, gap_tol=None,
-                           max_iter=None):
+def certify_objective_rate(alpha, Lf, Lh, feas_tol=sdpcore.DEFAULT_FEAS_TOL,
+                           gap_tol=sdpcore.DEFAULT_GAP_TOL,
+                           max_iter=sdpcore.DEFAULT_MAX_ITER):
     """Maximal theta for the objective-value rate with smooth f and h.
 
     Solves the Schur-extended program jointly over (theta, lam, sigma),
@@ -288,42 +299,24 @@ def certify_objective_rate(alpha, Lf, Lh, feas_tol=None, gap_tol=None,
                              RegularityClass(0.0, math.inf),
                              RegularityClass(0.0, Lh))
     qs = _qc_mats(alpha, classes)
-    lam_ref = 1.0
-    eta2 = np.outer(eta_vector(lam_ref), eta_vector(lam_ref))
-    t_coef = build_w1(lam_ref, 1.0, alpha, Lf, Lh).base \
-        - build_w1(lam_ref, 0.0, alpha, Lf, Lh).base
-    lam_coef = build_w1(lam_ref, 0.0, alpha, Lf, Lh).base - eta2
+    t_coef = build_w1(1.0, 1.0, alpha, Lf, Lh) - \
+        build_w1(1.0, 0.0, alpha, Lf, Lh)
     # M v = 0 (eta is orthogonal to v): the Q_i v span the complement of v,
     # so sigma = s_coef @ (theta, lam) exactly
     qv = np.column_stack([q @ _FACE_V for q in qs])
-    wv = np.column_stack([t_coef @ _FACE_V, lam_coef @ _FACE_V])
+    wv = np.column_stack([t_coef @ _FACE_V, _LAM_LIN @ _FACE_V])
     s_coef = np.linalg.lstsq(qv, -wv, rcond=None)[0]
-    u = _FACE_BASIS
-    border = u.T @ eta_vector(1.0)
-
-    def face_block(w, s, lamcoef=0.0):
-        m = w + sum(si * q for si, q in zip(s, qs))
-        top = np.zeros((4, 4))
-        top[:3, :3] = u.T @ m @ u
-        top[:3, 3] = top[3, :3] = lamcoef * border
-        return block_diag(top, np.diag([-lamcoef, lamcoef]), np.diag(-s))
-    f0 = face_block(np.zeros((4, 4)), np.zeros(3))
-    f0[3, 3] = -1.0
-    f0[4, 4] = LAM_MIN
-    f0[5, 5] = -LAM_MAX
-    fs = (face_block(t_coef, s_coef[:, 0]),
-          face_block(lam_coef, s_coef[:, 1], 1.0))
-    prob = sdpcore.LinearSdp(np.array([-1.0, 0.0]), f0, fs, (True, False))
-    sol = sdpcore.solve_sdp(prob, **_solver_kwargs(feas_tol, gap_tol, max_iter))
+    prob = _rate_program(-1.0, np.zeros((4, 4)), t_coef, qs, _FACE_BASIS,
+                         fold=s_coef)
+    sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
     if sol.status != sdpcore.STATUS_OPTIMAL:
         raise CertificationError(
             f"objective-rate program ended {sol.status} at this alpha")
-    theta = float(sol.y[0])
-    lam = float(min(max(sol.y[1], LAM_MIN), LAM_MAX))
+    theta, lam, _ = _unpack(sol, None)
     sigma = tuple(float(v) for v in s_coef @ np.array([theta, lam]))
     if theta <= 0:
         raise CertificationError("no positive theta at this alpha")
-    m2 = build_w1(lam, theta, alpha, Lf, Lh).base - \
+    m2 = build_w1(lam, theta, alpha, Lf, Lh) - \
         np.outer(eta_vector(lam), eta_vector(lam))
     for s, q in zip(sigma, qs):
         m2 = m2 + s * q
@@ -333,21 +326,10 @@ def certify_objective_rate(alpha, Lf, Lh, feas_tol=None, gap_tol=None,
         margin=margin, provenance="sdp", theta=theta)
 
 
-def _linear_w2_const(lam):
-    """W2 at rho2 = 0 (the lam-dependent part plus the constant 1)."""
-    return np.array([
-        [lam ** 2, 0.0, -lam ** 2, -lam],
-        [0.0, 0.0, 0.0, 0.0],
-        [-lam ** 2, 0.0, lam ** 2, lam],
-        [-lam, 0.0, lam, 1.0],
-    ])
-
-
-_ERHO = np.diag([0.0, 0.0, 0.0, 1.0])
-
-
-def linear_rate_value(alpha, classes, lam=None, feas_tol=None, gap_tol=None,
-                      max_iter=None):
+def linear_rate_value(alpha, classes, lam=None,
+                      feas_tol=sdpcore.DEFAULT_FEAS_TOL,
+                      gap_tol=sdpcore.DEFAULT_GAP_TOL,
+                      max_iter=sdpcore.DEFAULT_MAX_ITER):
     """Optimal rho2 of the linear-rate program, unclipped.
 
     Returns (rho2, lam, sigma, kept, status): sigma holds multipliers for the
@@ -359,50 +341,11 @@ def linear_rate_value(alpha, classes, lam=None, feas_tol=None, gap_tol=None,
         raise CertificationError("alpha must be positive")
     if not check_assumption1(classes):
         raise CertificationError("assumption1 violated")
-    kw = _solver_kwargs(feas_tol, gap_tol, max_iter)
     qs = _qc_mats(alpha, classes)
     keep, u = _reduce_nsd(qs, 4)
-    reg = [qs[i] for i in keep]
-    if lam is not None:
-        f0 = u.T @ _linear_w2_const(lam) @ u
-        fs = [u.T @ (-_ERHO) @ u] + [u.T @ q @ u for q in reg]
-        c = np.zeros(len(fs))
-        c[0] = 1.0
-        prob = sdpcore.LinearSdp(c, f0, tuple(fs), (True,) * len(fs))
-        sol = sdpcore.solve_sdp(prob, **kw)
-        rho2 = float(sol.y[0])
-        sigma = tuple(float(v) for v in sol.y[1:])
-        lam_out = lam
-    else:
-        r = u.shape[1]
-        ubig = np.zeros((5, r + 1))
-        ubig[:4, :r] = u
-        ubig[4, r] = 1.0
-        k = r + 1
-        f0_5 = np.zeros((5, 5))
-        f0_5[3, 3] = 1.0
-        f0_5[4, 4] = -1.0
-        frho = np.zeros((5, 5))
-        frho[3, 3] = -1.0
-        flam = _emb5(_LAM_LIN) + _border_eta()
-        def pad(m, lamcoef=0.0):
-            p = np.zeros((k + 2, k + 2))
-            p[:k, :k] = ubig.T @ m @ ubig
-            p[k, k] = -lamcoef
-            p[k + 1, k + 1] = lamcoef
-            return p
-        f0 = pad(f0_5)
-        f0[k, k] = LAM_MIN
-        f0[k + 1, k + 1] = -LAM_MAX
-        fs = [pad(frho), pad(flam, 1.0)] + [pad(_emb5(q)) for q in reg]
-        c = np.zeros(len(fs))
-        c[0] = 1.0
-        prob = sdpcore.LinearSdp(
-            c, f0, tuple(fs), (True, False) + (True,) * len(reg))
-        sol = sdpcore.solve_sdp(prob, **kw)
-        rho2 = float(sol.y[0])
-        lam_out = float(min(max(sol.y[1], LAM_MIN), LAM_MAX))
-        sigma = tuple(float(v) for v in sol.y[2:])
+    prob = _rate_program(1.0, _E, -_E, [qs[i] for i in keep], u, lam)
+    sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
+    rho2, lam_out, sigma = _unpack(sol, lam)
     return rho2, lam_out, sigma, keep, sol.status
 
 
@@ -416,12 +359,14 @@ def _expand_sigma(sigma, keep):
 def audit_linear(alpha, lam, rho2, sigma, classes):
     """Feasibility margin of a linear-rate certificate.
 
-    Infinite multipliers are handled in the limit: the LMI is checked on the
-    subspace orthogonal to the negative directions of the eliminated QCs.
+    The LMI W2 + sum sigma_i Q_i is rebuilt with W2 = W_O - rho2 W_I from the
+    dual program's data. Infinite multipliers are handled in the limit: the
+    LMI is checked on the subspace orthogonal to the negative directions of
+    the eliminated QCs.
     """
     qs = _qc_mats(alpha, classes)
-    m = _linear_w2_const(lam).copy()
-    m[3, 3] = 1.0 - rho2
+    w_o, w_i, _ = build_dual_data(lam)
+    m = w_o - rho2 * w_i
     any_inf = False
     for s, q in zip(sigma, qs):
         if math.isinf(s):
@@ -434,8 +379,10 @@ def audit_linear(alpha, lam, rho2, sigma, classes):
     return max_eig(m)
 
 
-def certify_linear_rate(alpha, classes, lam=None, feas_tol=None, gap_tol=None,
-                        max_iter=None):
+def certify_linear_rate(alpha, classes, lam=None,
+                        feas_tol=sdpcore.DEFAULT_FEAS_TOL,
+                        gap_tol=sdpcore.DEFAULT_GAP_TOL,
+                        max_iter=sdpcore.DEFAULT_MAX_ITER):
     """Linear-rate certificate rho2 < 1, jointly over lam unless pinned."""
     rho2, lam_out, sigma, keep, status = linear_rate_value(
         alpha, classes, lam, feas_tol, gap_tol, max_iter)
@@ -450,8 +397,9 @@ def certify_linear_rate(alpha, classes, lam=None, feas_tol=None, gap_tol=None,
         margin=margin, provenance="sdp", rho2=rho2)
 
 
-def dual_linear_rate(alpha, lam, classes, feas_tol=None, gap_tol=None,
-                     max_iter=None, return_z=False):
+def dual_linear_rate(alpha, lam, classes, feas_tol=sdpcore.DEFAULT_FEAS_TOL,
+                     gap_tol=sdpcore.DEFAULT_GAP_TOL,
+                     max_iter=sdpcore.DEFAULT_MAX_ITER, return_z=False):
     """Optimal value of the dual rate program at fixed (alpha, lam).
 
     Maximizes Tr(G^T W_O G Z) over Z >= 0 with the trace normalization and
@@ -462,7 +410,7 @@ def dual_linear_rate(alpha, lam, classes, feas_tol=None, gap_tol=None,
         raise CertificationError("assumption1 violated")
     qs = _qc_mats(alpha, classes)
     w_o, w_i, gm = build_dual_data(lam)
-    p = gm.T @ w_o.base @ gm
+    p = gm.T @ w_o @ gm
     rs = [gm.T @ q @ gm for q in qs]
     keep, u = _reduce_nsd(rs, 4)
     n = u.shape[1]
@@ -470,7 +418,7 @@ def dual_linear_rate(alpha, lam, classes, feas_tol=None, gap_tol=None,
         raise CertificationError("dual feasible set is trivial")
     pr = u.T @ p @ u
     rr = [u.T @ rs[i] @ u for i in keep]
-    nmat = u.T @ (gm.T @ w_i.base @ gm) @ u
+    nmat = u.T @ (gm.T @ w_i @ gm) @ u
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     vecs = []
     for (i, j) in pairs:
@@ -496,7 +444,7 @@ def dual_linear_rate(alpha, lam, classes, feas_tol=None, gap_tol=None,
     fs = [emb(b) for b in basis]
     c = np.array([-np.trace(pr @ b) for b in basis])
     prob = sdpcore.LinearSdp(c, f0, tuple(fs), (False,) * len(basis))
-    sol = sdpcore.solve_sdp(prob, **_solver_kwargs(feas_tol, gap_tol, max_iter))
+    sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
     if sol.status == sdpcore.STATUS_INFEASIBLE:
         raise CertificationError("dual program infeasible")
     zred = z0 + sum(yk * b for yk, b in zip(sol.y, basis))
@@ -504,6 +452,18 @@ def dual_linear_rate(alpha, lam, classes, feas_tol=None, gap_tol=None,
     if return_z:
         return val, u @ zred @ u.T
     return val
+
+
+def certify_rate(mode, alpha, classes, lam=None, **solver_kw):
+    """The certificate of one mode at one stepsize; lam=None optimizes it."""
+    if mode == MODE_LINEAR:
+        return certify_linear_rate(alpha, classes, lam=lam, **solver_kw)
+    if mode == MODE_RESIDUAL:
+        return certify_residual_rate(alpha, lam, classes, **solver_kw)
+    if mode == MODE_OBJECTIVE:
+        return certify_objective_rate(alpha, classes.f.L, classes.h.L,
+                                      **solver_kw)
+    raise ValueError(f"unknown mode {mode}")
 
 
 def sweep_alpha(alpha_grid, classes, mode, lam=None, **solver_kw):
@@ -518,15 +478,7 @@ def sweep_alpha(alpha_grid, classes, mode, lam=None, **solver_kw):
     curve = []
     for alpha in grid:
         try:
-            if mode == MODE_LINEAR:
-                cert = certify_linear_rate(alpha, classes, lam=lam, **solver_kw)
-            elif mode == MODE_RESIDUAL:
-                cert = certify_residual_rate(alpha, lam, classes, **solver_kw)
-            elif mode == MODE_OBJECTIVE:
-                cert = certify_objective_rate(alpha, classes.f.L, classes.h.L,
-                                              **solver_kw)
-            else:
-                raise ValueError(f"unknown mode {mode}")
+            cert = certify_rate(mode, alpha, classes, lam, **solver_kw)
             curve.append({"alpha": alpha, "rate": cert.rate(),
                           "lambda": cert.lam, "feasible": True})
         except CertificationError:
@@ -555,7 +507,6 @@ def empirical_lyapunov_check(trace, fixed_point, cert, fstar=None,
         raise ValueError("dimension mismatch between trace and fixed point")
     dist2 = ((zs - zstar) ** 2).sum(axis=1)
     violations = []
-    bound_ok = True
     detail = {}
     if cert.mode == MODE_LINEAR:
         rho2 = cert.rho2
@@ -571,31 +522,22 @@ def empirical_lyapunov_check(trace, fixed_point, cert, fstar=None,
         bound_ok = bool((dist2 <= bound).all())
         detail["max_ratio"] = float(
             np.sqrt(np.max(dist2[1:] / np.maximum(dist2[:-1], 1e-300))))
-    elif cert.mode == MODE_RESIDUAL:
-        r2 = np.asarray(trace.residual_norm2)
-        theta = cert.theta
-        v = dist2[:len(r2) + 1] + theta * np.concatenate(
-            [[0.0], np.cumsum(r2)])[:len(dist2)]
-        for k in range(len(v) - 1):
-            if v[k + 1] > v[k] + rel_tol * max(v[k], 1e-300):
-                violations.append(k)
-        running_min = np.minimum.accumulate(r2)
-        ks = np.arange(1, len(r2) + 1)
-        bound_ok = bool(
-            (running_min * theta * ks <= dist2[0] * (1.0 + bound_tol)).all())
-        detail["worst_product"] = float(np.max(running_min * theta * ks))
-    elif cert.mode == MODE_OBJECTIVE:
-        if fstar is None:
+    elif cert.mode in (MODE_RESIDUAL, MODE_OBJECTIVE):
+        # theta-weighted sums of the squared residuals or the objective gaps
+        if cert.mode == MODE_RESIDUAL:
+            seq = np.asarray(trace.residual_norm2)
+        elif fstar is None:
             raise ValueError("objective mode needs the optimal value fstar")
-        fgap = np.asarray(trace.objective) - fstar
+        else:
+            seq = np.asarray(trace.objective) - fstar
         theta = cert.theta
-        v = dist2[:len(fgap) + 1] + theta * np.concatenate(
-            [[0.0], np.cumsum(fgap)])[:len(dist2)]
+        v = dist2[:len(seq) + 1] + theta * np.concatenate(
+            [[0.0], np.cumsum(seq)])[:len(dist2)]
         for k in range(len(v) - 1):
             if v[k + 1] > v[k] + rel_tol * max(v[k], 1e-300):
                 violations.append(k)
-        running_min = np.minimum.accumulate(fgap)
-        ks = np.arange(1, len(fgap) + 1)
+        running_min = np.minimum.accumulate(seq)
+        ks = np.arange(1, len(seq) + 1)
         bound_ok = bool(
             (running_min * theta * ks <= dist2[0] * (1.0 + bound_tol)).all())
         detail["worst_product"] = float(np.max(running_min * theta * ks))

@@ -55,17 +55,6 @@ def _grid(spec):
     return np.linspace(start, stop, points)
 
 
-def _solver_kw(args):
-    kw = {}
-    if args.tol_feas is not None:
-        kw["feas_tol"] = args.tol_feas
-    if args.tol_gap is not None:
-        kw["gap_tol"] = args.tol_gap
-    if args.max_iter is not None:
-        kw["max_iter"] = args.max_iter
-    return kw
-
-
 def cmd_certify(args):
     try:
         doc = _load_input(args.input)
@@ -75,18 +64,14 @@ def cmd_certify(args):
         lam = args.lam if args.lam is not None else doc.get("lambda")
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         return _fail(EXIT_BAD_INPUT, "badInput", str(exc), args.out)
-    kw = _solver_kw(args)
+    if mode not in (certify.MODE_LINEAR, certify.MODE_RESIDUAL,
+                    certify.MODE_OBJECTIVE):
+        return _fail(EXIT_BAD_INPUT, "badInput", f"unknown mode {mode}",
+                     args.out)
     try:
-        if mode == certify.MODE_LINEAR:
-            cert = certify.certify_linear_rate(alpha, classes, lam=lam, **kw)
-        elif mode == certify.MODE_RESIDUAL:
-            cert = certify.certify_residual_rate(alpha, lam, classes, **kw)
-        elif mode == certify.MODE_OBJECTIVE:
-            cert = certify.certify_objective_rate(alpha, classes.f.L,
-                                                  classes.h.L, **kw)
-        else:
-            return _fail(EXIT_BAD_INPUT, "badInput", f"unknown mode {mode}",
-                         args.out)
+        cert = certify.certify_rate(
+            mode, alpha, classes, lam, feas_tol=args.tol_feas,
+            gap_tol=args.tol_gap, max_iter=args.max_iter)
     except certify.CertificationError as exc:
         return _fail(EXIT_INFEASIBLE, "infeasible", str(exc), args.out)
     text = certify.certificate_to_json(cert)
@@ -107,8 +92,9 @@ def cmd_sweep(args):
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         return _fail(EXIT_BAD_INPUT, "badInput", str(exc), args.out)
     try:
-        curve, best = certify.sweep_alpha(grid, classes, mode, lam=args.lam,
-                                          **_solver_kw(args))
+        curve, best = certify.sweep_alpha(
+            grid, classes, mode, lam=args.lam, feas_tol=args.tol_feas,
+            gap_tol=args.tol_gap, max_iter=args.max_iter)
     except certify.CertificationError as exc:
         return _fail(EXIT_INFEASIBLE, "infeasible", str(exc), args.out)
     lines = ["alpha,rate,lambda,feasible"]
@@ -201,9 +187,12 @@ def build_parser():
     common.add_argument("--grid")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out")
-    common.add_argument("--tol-feas", type=float)
-    common.add_argument("--tol-gap", type=float)
-    common.add_argument("--max-iter", type=int)
+    common.add_argument("--tol-feas", type=float,
+                        default=sdpcore.DEFAULT_FEAS_TOL)
+    common.add_argument("--tol-gap", type=float,
+                        default=sdpcore.DEFAULT_GAP_TOL)
+    common.add_argument("--max-iter", type=int,
+                        default=sdpcore.DEFAULT_MAX_ITER)
 
     pc = sub.add_parser("certify", parents=[common])
     pc.add_argument("input")

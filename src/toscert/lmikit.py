@@ -36,26 +36,6 @@ class RegularityClass:
         return math.isfinite(self.L)
 
 
-@dataclass(frozen=True)
-class LmiBase:
-    """A symmetric base matrix representing base kron I_d."""
-    base: np.ndarray
-    kron_factor: int = 1
-
-    def __post_init__(self):
-        b = np.asarray(self.base, dtype=float)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError("base must be square")
-        if not np.allclose(b, b.T, atol=0):
-            raise ValueError("base must be symmetric")
-        if self.kron_factor < 1:
-            raise ValueError("kron_factor must be >= 1")
-        object.__setattr__(self, "base", b)
-
-    def full(self):
-        return kron_identity(self.base, self.kron_factor)
-
-
 def sym_check(m):
     """Validate and return a finite symmetric matrix."""
     m = np.asarray(m, dtype=float)
@@ -98,7 +78,7 @@ def build_qc_triplet(alpha, f, g, h):
     q1 = s1.T @ qc_base(g) @ s1
     q2 = s2.T @ qc_base(h) @ s2
     q3 = s3.T @ qc_base(f) @ s3
-    return LmiBase(q1), LmiBase(q2), LmiBase(q3)
+    return q1, q2, q3
 
 
 def build_w0(lam, theta, alpha):
@@ -106,13 +86,12 @@ def build_w0(lam, theta, alpha):
     if not (lam > 0 and theta > 0 and alpha > 0):
         raise ValueError("lam, theta, alpha must be positive")
     a = lam ** 2 + theta / alpha ** 2
-    w = np.array([
+    return np.array([
         [a, 0.0, -a, -lam],
         [0.0, 0.0, 0.0, 0.0],
         [-a, 0.0, a, lam],
         [-lam, 0.0, lam, 0.0],
     ])
-    return LmiBase(w)
 
 
 def build_w1(lam, theta, alpha, Lf, Lh):
@@ -134,8 +113,7 @@ def build_w1(lam, theta, alpha, Lf, Lh):
         [lam ** 2 + theta * Lf / 2.0, lam],
         [lam, -theta * c / 2.0],
     ])
-    w = np.block([[a_blk, b_blk], [b_blk.T, d_blk]])
-    return LmiBase(w)
+    return np.block([[a_blk, b_blk], [b_blk.T, d_blk]])
 
 
 def build_w2(lam, rho2):
@@ -144,13 +122,12 @@ def build_w2(lam, rho2):
         raise ValueError("lam must be positive")
     if not (0 < rho2 <= 1):
         raise ValueError("rho2 must lie in (0, 1]")
-    w = np.array([
+    return np.array([
         [lam ** 2, 0.0, -lam ** 2, -lam],
         [0.0, 0.0, 0.0, 0.0],
         [-lam ** 2, 0.0, lam ** 2, lam],
         [-lam, 0.0, lam, 1.0 - rho2],
     ])
-    return LmiBase(w)
 
 
 def eta_vector(lam):
@@ -193,7 +170,7 @@ def build_dual_data(lam):
         [0.0, 1.0, 0.0, 0.0],
         [1.0, 0.0, 0.0, 0.0],
     ])
-    return LmiBase(w_o), LmiBase(w_i), g
+    return w_o, w_i, g
 
 
 def max_eig(m):

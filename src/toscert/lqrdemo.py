@@ -22,8 +22,6 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from . import tos
-from .certify import ProblemClasses
-from .lmikit import RegularityClass
 
 
 @dataclass(frozen=True)
@@ -74,6 +72,7 @@ def build_instance(seed, n, m, horizon):
 
 
 def cost_matrix(inst):
+    """The dense E and the layout; a reference for the block oracles."""
     layout = TrajectoryLayout(inst.a.shape[0], inst.b.shape[1], inst.horizon)
     e = np.zeros((layout.dim, layout.dim))
     for t in range(inst.horizon + 1):
@@ -125,10 +124,11 @@ def assemble_oracles(inst):
     """Splitting oracles: input-box prox, dynamics projection, gradient of h.
 
     All three work on the state and input blocks of w, without E or A_c.
+    Returns (oracle, layout, l_h), l_h the Lipschitz constant of grad_h.
     """
-    e, layout = cost_matrix(inst)
-    n, m, horizon = layout.n, layout.m, layout.horizon
     a, b, q, r, x_init = inst.a, inst.b, inst.q, inst.r, inst.x_init
+    n, m, horizon = a.shape[0], b.shape[1], inst.horizon
+    layout = TrajectoryLayout(n, m, horizon)
     gram_chol = (cholesky_banded(_gram_band(inst)), False)
     ublock = layout.u_block()
 
@@ -158,18 +158,13 @@ def assemble_oracles(inst):
         return np.concatenate(((xs @ q.T).ravel(), (us @ r.T).ravel()))
 
     l_h = max(np.linalg.norm(q, 2), np.linalg.norm(r, 2))
-    classes = ProblemClasses(
-        RegularityClass(0.0, np.inf),
-        RegularityClass(0.0, np.inf),
-        RegularityClass(0.0, l_h))
 
     def objective(w):
         return 0.5 * float(w @ grad_h(w))
 
     oracle = tos.OperatorOracle(
-        prox_f=prox_f, prox_g=prox_g, grad_h=grad_h,
-        classes=classes, objective=objective)
-    return oracle, layout, e, l_h
+        prox_f=prox_f, prox_g=prox_g, grad_h=grad_h, objective=objective)
+    return oracle, layout, l_h
 
 
 def run_sweep(inst, lambdas, iter_budget, out_dir=None):
@@ -177,7 +172,7 @@ def run_sweep(inst, lambdas, iter_budget, out_dir=None):
     for lam in lambdas:
         if not 0 < lam < 2:
             raise ValueError("every lambda must lie in (0, 2)")
-    oracle, layout, _, l_h = assemble_oracles(inst)
+    oracle, layout, l_h = assemble_oracles(inst)
     z0 = np.zeros(layout.dim)
     results = []
     for lam in lambdas:

@@ -18,11 +18,10 @@ from scipy.linalg import cho_factor, cho_solve
 
 @dataclass(frozen=True)
 class OperatorOracle:
-    """prox_f(alpha, x), prox_g(alpha, x), grad_h(x) plus declared classes."""
+    """prox_f(alpha, x), prox_g(alpha, x), grad_h(x), optional objective(x)."""
     prox_f: callable
     prox_g: callable
     grad_h: callable
-    classes: object = None
     objective: callable = None
 
 
@@ -195,13 +194,6 @@ class QuadraticProx:
             self._cache[key] = cho_factor(
                 np.eye(self.p.shape[0]) + alpha * self.p)
         return cho_solve(self._cache[key], x - alpha * self.q)
-
-
-def prox_eval(spec, alpha, x):
-    """Evaluate a prox spec (BoxProx, L1Prox, ZeroProx, AffineSubspaceProx)."""
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    return spec(alpha, np.asarray(x, dtype=float))
 
 
 def grad_eval(e, x):

@@ -242,7 +242,7 @@ def test_criterion_10_relaxation_sweep_reproduction():
     lambdas = [0.25, 0.5, 1.0, 1.5]
     budget = 400
     inst = lqrdemo.build_instance(42, 20, 5, 20)
-    oracle, layout, _, lh = lqrdemo.assemble_oracles(inst)
+    oracle, layout, lh = lqrdemo.assemble_oracles(inst)
     results = lqrdemo.run_sweep(inst, lambdas, budget)
     bound_ok = True
     final = {}
@@ -269,7 +269,7 @@ def test_criterion_10_relaxation_sweep_reproduction():
 def test_criterion_11_small_instance_optimality():
     n, m, horizon = 4, 2, 5
     inst = lqrdemo.build_instance(7, n, m, horizon)
-    oracle, layout, _, lh = lqrdemo.assemble_oracles(inst)
+    oracle, layout, lh = lqrdemo.assemble_oracles(inst)
     # condensed reference: states eliminated through the dynamics, the
     # input trajectory solved as a bound-constrained quadratic program
     dim_x = (horizon + 1) * n

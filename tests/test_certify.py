@@ -6,7 +6,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from toscert import certify, tos
+from scipy.linalg import block_diag
+
+from toscert import certify, sdpcore, tos
 from toscert.certify import (CertificationError, MODE_LINEAR, MODE_OBJECTIVE,
                              MODE_RESIDUAL, ProblemClasses, RateCertificate,
                              audit_linear, certificate_from_json,
@@ -15,7 +17,8 @@ from toscert.certify import (CertificationError, MODE_LINEAR, MODE_OBJECTIVE,
                              check_assumption1, dual_linear_rate,
                              empirical_lyapunov_check, linear_rate_value,
                              sweep_alpha, symbolic_sublinear)
-from toscert.lmikit import RegularityClass, build_qc_triplet, build_w1
+from toscert.lmikit import (RegularityClass, build_qc_triplet, build_w0,
+                            build_w1, build_w2, eta_vector, schur_extend)
 
 
 def _cls(mf, lf, mg, lg, mh, lh):
@@ -76,6 +79,15 @@ def test_residual_rate_free_lambda():
     assert cert.margin <= 1e-8
 
 
+@pytest.mark.parametrize("alpha, lam", [(0.5413183669370272, 1.5),
+                                        (0.05860511487667399, None)])
+def test_residual_rate_refuses_non_optimal_solves(alpha, lam):
+    # both solves stop at maxIterations with a theta whose LMI has audit
+    # margin +3.1e-4 and +4.3e-4: no certificate may come from them
+    with pytest.raises(CertificationError, match="ended maxIterations"):
+        certify_residual_rate(alpha, lam, certify._case1_classes(1.0))
+
+
 def test_residual_rate_input_validation():
     with pytest.raises(CertificationError):
         certify_residual_rate(-1.0, 0.5, certify._case1_classes(1.0))
@@ -107,8 +119,8 @@ def test_objective_rate_regression():
     q2 = [[-2, 3 * h, 0, 3 * h], [3 * h, -1, 0, -1], [0, 0, 0, 0],
           [3 * h, -1, 0, -1]]
     q3 = [[0, 0, 0, 0], [0, -1, 3 * h, 0], [0, 3 * h, -2, 0], [0, 0, 0, 0]]
-    ref = [build_w1(float(lam), float(th), 1.0, 1.0, 1.0).base] + [
-        q.base for q in build_qc_triplet(1.0, RegularityClass(0.0, 1.0),
+    ref = [build_w1(float(lam), float(th), 1.0, 1.0, 1.0)] + [
+        q for q in build_qc_triplet(1.0, RegularityClass(0.0, 1.0),
                                          RegularityClass(0.0, math.inf),
                                          RegularityClass(0.0, 1.0))]
     for exact, built in zip((w1, q1, q2, q3), ref):
@@ -294,3 +306,99 @@ def test_lyapunov_check_dimension_mismatch():
     trace = _contraction_trace(0.9, 5)
     with pytest.raises(ValueError):
         empirical_lyapunov_check(trace, np.zeros(7), cert)
+
+
+def _schur_on(m, lam, u):
+    """schur_extend(m - eta eta^T, lam) on span(u) and the last axis, then
+    the bounds LAM_MIN <= lam <= LAM_MAX as diagonal entries."""
+    eta = eta_vector(lam)
+    ext = block_diag(u, 1.0)
+    top = ext.T @ schur_extend(m - np.outer(eta, eta), lam) @ ext
+    return block_diag(top, np.diag([certify.LAM_MIN - lam,
+                                    lam - certify.LAM_MAX]))
+
+
+def _qc_sum(alpha, classes, sigma, keep=(0, 1, 2)):
+    qs = build_qc_triplet(alpha, classes.f, classes.g, classes.h)
+    return sum(s * qs[i] for s, i in zip(sigma, keep))
+
+
+# the joint optimum's lambda at alpha = 0.02 for STRONG_F_EQUAL
+LINEAR_LAM = 1.2623475379863163
+
+
+def _paper_program(shape, y, lmi):
+    """The LMI of one program shape at y, from the paper's matrices.
+
+    lmi is the program's own matrix at y; the objective's face program
+    carries its multipliers on the diagonal, and they are read from there.
+    """
+    case1 = certify._case1_classes(1.0)
+    if shape == "residual-pinned":
+        return build_w0(0.5, y[0], 1.5) + _qc_sum(1.5, case1, y[1:])
+    if shape == "residual-joint":
+        m = build_w0(y[1], y[0], 1.0) + _qc_sum(1.0, case1, y[2:])
+        return _schur_on(m, y[1], np.eye(4))
+    if shape == "objective-face":
+        classes = _cls(0.0, 2.0, 0.0, math.inf, 0.0, 3.0)
+        sigma = -np.diag(lmi)[6:]
+        m = build_w1(y[1], y[0], 0.7, 2.0, 3.0) + _qc_sum(0.7, classes, sigma)
+        # the face: equal deviations of every variable are a null direction
+        assert np.abs(m @ np.ones(4)).max() <= 1e-12 * np.abs(m).max()
+        basis = certify._FACE_BASIS
+        assert np.linalg.matrix_rank(basis) == 3
+        assert not (basis.T @ np.ones(4)).any()
+        return block_diag(_schur_on(m, y[1], basis), np.diag(-sigma))
+    keep, u = certify._reduce_nsd(certify._qc_mats(0.02, STRONG_F_EQUAL), 4)
+    if shape == "linear-pinned":
+        return u.T @ (build_w2(LINEAR_LAM, y[0])
+                      + _qc_sum(0.02, STRONG_F_EQUAL, y[1:], keep)) @ u
+    return _schur_on(build_w2(y[1], y[0])
+                     + _qc_sum(0.02, STRONG_F_EQUAL, y[2:], keep), y[1], u)
+
+
+_PRODUCERS = {
+    "residual-pinned": lambda: certify_residual_rate(
+        1.5, 0.5, certify._case1_classes(1.0)),
+    "residual-joint": lambda: certify_residual_rate(
+        1.0, None, certify._case1_classes(1.0)),
+    "objective-face": lambda: certify_objective_rate(0.7, 2.0, 3.0),
+    "linear-pinned": lambda: linear_rate_value(0.02, STRONG_F_EQUAL,
+                                               lam=LINEAR_LAM),
+    "linear-joint": lambda: linear_rate_value(0.02, STRONG_F_EQUAL),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_PRODUCERS))
+def test_program_matches_paper_lmi(shape, monkeypatch):
+    # the program each producer solves, against the same LMI assembled from
+    # W0, W1, W2, the Q_i, the Schur extension and the subspace, at the
+    # solved point and at random admissible (rate, lam, sigma)
+    seen = []
+    solve = sdpcore.solve_sdp
+
+    def spy(prob, *args, **kwargs):
+        sol = solve(prob, *args, **kwargs)
+        seen.append((prob, sol))
+        return sol
+    monkeypatch.setattr(sdpcore, "solve_sdp", spy)
+    _PRODUCERS[shape]()
+    (prob, sol), = seen
+    assert sol.status == sdpcore.STATUS_OPTIMAL
+    rng = np.random.default_rng(sorted(_PRODUCERS).index(shape))
+    points = [sol.y]
+    for _ in range(20):
+        y = rng.uniform(0.0, 3.0, prob.nvars)
+        y[0] = rng.uniform(0.01, 1.0)
+        if not prob.nonneg[1]:
+            y[1] = rng.uniform(0.05, 2.0)
+        points.append(y)
+    verdicts = []
+    for y in points:
+        lmi = prob.f0 + sum(yi * fi for yi, fi in zip(y, prob.fi))
+        ref = _paper_program(shape, y, lmi)
+        assert np.abs(lmi - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        nsd = np.linalg.eigvalsh(lmi).max() <= 1e-7
+        assert nsd == (np.linalg.eigvalsh(ref).max() <= 1e-7)
+        verdicts.append(nsd)
+    assert verdicts[0] and not all(verdicts)

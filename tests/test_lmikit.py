@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toscert.lmikit import (KRON_DIM_CAP, LmiBase, RegularityClass,
-                            build_dual_data, build_qc_triplet, build_w0,
-                            build_w1, build_w2, eta_vector, kron_identity,
-                            max_eig, qc_base, schur_extend, sym_check)
+from toscert.lmikit import (KRON_DIM_CAP, RegularityClass, build_dual_data,
+                            build_qc_triplet, build_w0, build_w1, build_w2,
+                            eta_vector, kron_identity, max_eig, qc_base,
+                            schur_extend, sym_check)
 
 
 def test_regularity_class_validation():
@@ -67,16 +67,8 @@ def test_build_qc_triplet_shapes():
     g = RegularityClass(1.0, 10.0)
     h = RegularityClass(0.0, 20.0)
     for q in build_qc_triplet(0.3, f, g, h):
-        assert q.base.shape == (4, 4)
-        assert np.allclose(q.base, q.base.T)
-
-
-def test_lmi_base_full_kron():
-    base = np.array([[1.0, 2.0], [2.0, -1.0]])
-    lmi = LmiBase(base, 3)
-    assert np.allclose(lmi.full(), np.kron(base, np.eye(3)))
-    with pytest.raises(ValueError):
-        LmiBase(np.array([[1.0, 2.0], [0.0, -1.0]]), 1)
+        assert q.shape == (4, 4)
+        assert np.allclose(q, q.T)
 
 
 def test_sym_check_symmetrizes_and_validates():
@@ -97,9 +89,9 @@ def test_build_w0_symbolic_feasibility():
     f = RegularityClass(0.0, math.inf)
     g = RegularityClass(0.0, math.inf)
     h = RegularityClass(0.0, Lh)
-    m = build_w0(lam, theta, alpha).base.copy()
+    m = build_w0(lam, theta, alpha)
     for q in build_qc_triplet(alpha, f, g, h):
-        m = m + sig * q.base
+        m = m + sig * q
     assert max_eig(m) <= 1e-10
 
 
@@ -111,22 +103,22 @@ def test_build_w0_infeasible_when_theta_too_large():
     f = RegularityClass(0.0, math.inf)
     g = RegularityClass(0.0, math.inf)
     h = RegularityClass(0.0, Lh)
-    m = build_w0(lam, theta, alpha).base.copy()
+    m = build_w0(lam, theta, alpha)
     for q in build_qc_triplet(alpha, f, g, h):
-        m = m + sig * q.base
+        m = m + sig * q
     assert max_eig(m) > 1e-3
 
 
 def test_build_w1_theta_zero_matches_zero_rate_part():
     # theta enters linearly; the difference of two builds isolates its slope
-    a = build_w1(0.7, 2.0, 0.4, 3.0, 5.0).base
-    b = build_w1(0.7, 1.0, 0.4, 3.0, 5.0).base
-    c = build_w1(0.7, 0.0, 0.4, 3.0, 5.0).base
+    a = build_w1(0.7, 2.0, 0.4, 3.0, 5.0)
+    b = build_w1(0.7, 1.0, 0.4, 3.0, 5.0)
+    c = build_w1(0.7, 0.0, 0.4, 3.0, 5.0)
     assert np.allclose(a - b, b - c, atol=1e-12)
 
 
 def test_build_w2_rate_entry():
-    w = build_w2(0.8, 0.36).base
+    w = build_w2(0.8, 0.36)
     assert abs(w[3, 3] - (1.0 - 0.36)) < 1e-15
     assert abs(w[0, 0] - 0.64) < 1e-15
     assert abs(w[0, 3] + 0.8) < 1e-15
@@ -159,8 +151,8 @@ def test_schur_extend_corner():
 def test_build_dual_data_map_invertible():
     w_o, w_i, gm = build_dual_data(0.7)
     assert abs(np.linalg.det(gm)) > 1e-12
-    assert np.allclose(w_o.base, w_o.base.T)
-    assert np.allclose(w_i.base, w_i.base.T)
+    assert np.allclose(w_o, w_o.T)
+    assert np.allclose(w_i, w_i.T)
 
 
 def test_max_eig_matches_lapack():

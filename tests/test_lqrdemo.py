@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
@@ -74,7 +73,8 @@ def test_dynamics_projection_satisfies_constraints():
 
 def test_assemble_oracles_clamps_inputs_only():
     inst = lqrdemo.build_instance(1, 3, 2, 4)
-    oracle, layout, e, l_h = lqrdemo.assemble_oracles(inst)
+    oracle, layout, l_h = lqrdemo.assemble_oracles(inst)
+    e, _ = lqrdemo.cost_matrix(inst)
     w = 5.0 * np.ones(layout.dim)
     out = oracle.prox_f(0.3, w)
     assert np.all(out[layout.u_block()] == 1.0)
@@ -86,7 +86,8 @@ def test_assemble_oracles_clamps_inputs_only():
 
 def _dense_oracle(inst):
     """The oracles from the dense cost matrix and constraint rows."""
-    oracle, layout, e, _ = lqrdemo.assemble_oracles(inst)
+    oracle, layout, _ = lqrdemo.assemble_oracles(inst)
+    e, _ = lqrdemo.cost_matrix(inst)
     a_c, b_c = lqrdemo.dynamics_constraints(inst, layout)
     return dataclasses.replace(
         oracle, prox_g=tos.AffineSubspaceProx(a_c, b_c),
@@ -96,7 +97,7 @@ def _dense_oracle(inst):
 @pytest.mark.parametrize("n, m, horizon", [(1, 1, 1), (4, 2, 5), (20, 5, 20)])
 def test_block_oracles_match_dense(n, m, horizon):
     inst = lqrdemo.build_instance(11, n, m, horizon)
-    oracle, layout, _, _ = lqrdemo.assemble_oracles(inst)
+    oracle, layout, _ = lqrdemo.assemble_oracles(inst)
     dense = _dense_oracle(inst)
     rng = np.random.default_rng(n)
     for _ in range(5):
@@ -111,7 +112,7 @@ def test_block_oracles_match_dense(n, m, horizon):
 
 def test_run_matches_dense_reference():
     inst = lqrdemo.build_instance(0, 20, 5, 20)
-    oracle, layout, _, l_h = lqrdemo.assemble_oracles(inst)
+    oracle, layout, l_h = lqrdemo.assemble_oracles(inst)
     lam = 1.5
     config = tos.TosConfig(alpha=(2.0 - lam) / l_h, lam=lam, max_iter=300)
     z0 = np.zeros(layout.dim)
@@ -148,7 +149,7 @@ def test_active_input_box():
     f_ref = 0.5 * u @ hess @ u + lin @ u + 0.5 * g @ qbar @ g
     assert np.sum(np.abs(u) >= 1.0 - 1e-9) >= 1
 
-    oracle, layout, _, l_h = lqrdemo.assemble_oracles(inst)
+    oracle, layout, l_h = lqrdemo.assemble_oracles(inst)
     lam = 1.0
     config = tos.TosConfig(alpha=(2.0 - lam) / l_h, lam=lam, max_iter=1000)
     trace = tos.run(oracle, np.zeros(layout.dim), config)
@@ -157,11 +158,10 @@ def test_active_input_box():
 
 def test_assemble_oracles_objective_and_classes():
     inst = lqrdemo.build_instance(1, 3, 2, 4)
-    oracle, layout, e, l_h = lqrdemo.assemble_oracles(inst)
+    oracle, layout, _ = lqrdemo.assemble_oracles(inst)
+    e, _ = lqrdemo.cost_matrix(inst)
     w = np.ones(layout.dim)
     assert abs(oracle.objective(w) - 0.5 * w @ e @ w) < 1e-12
-    assert oracle.classes.h.L == l_h
-    assert math.isinf(oracle.classes.f.L)
 
 
 def test_run_sweep_outputs(tmp_path):
@@ -170,7 +170,7 @@ def test_run_sweep_outputs(tmp_path):
     assert [rec["lambda"] for rec in res] == [0.5, 1.0]
     for rec in res:
         assert rec["alpha"] == pytest.approx((2 - rec["lambda"]) /
-                                             lqrdemo.assemble_oracles(inst)[3])
+                                             lqrdemo.assemble_oracles(inst)[2])
         assert rec["iterations"] == 40
         assert rec["final_min_residual2"] == min(rec["trace"].residual_norm2)
     with open(tmp_path / "summary.json") as fh:

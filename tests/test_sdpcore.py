@@ -59,13 +59,13 @@ def test_certificate_margin_tracks_theta():
     alpha = (2.0 - lam) / Lh
     cls = RegularityClass(0.0, math.inf)
     h = RegularityClass(0.0, Lh)
-    qs = [q.base for q in build_qc_triplet(alpha, cls, cls, h)]
+    qs = [q for q in build_qc_triplet(alpha, cls, cls, h)]
     theta_star = (2.0 - lam) ** 3 * lam / (2.0 * Lh ** 2)
-    t_ok, y = feasibility_margin(build_w0(lam, 0.9 * theta_star, alpha).base,
+    t_ok, y = feasibility_margin(build_w0(lam, 0.9 * theta_star, alpha),
                                  qs, [True] * 3)
     assert abs(t_ok) <= 1e-7
     assert all(v >= -1e-9 for v in y)
-    t_bad, _ = feasibility_margin(build_w0(lam, 1.5 * theta_star, alpha).base,
+    t_bad, _ = feasibility_margin(build_w0(lam, 1.5 * theta_star, alpha),
                                   qs, [True] * 3)
     assert t_bad < -0.01
 

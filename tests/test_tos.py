@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from toscert import tos
 from toscert.tos import (AffineSubspaceProx, BoxProx, IterateTrace, L1Prox,
                          OperatorOracle, QuadraticProx, TosConfig, ZeroProx,
-                         find_fixed_point, grad_eval, prox_eval, residual,
-                         run, tos_step)
+                         find_fixed_point, grad_eval, residual, run,
+                         tos_step)
 
 
 def _quad_oracle():
@@ -190,13 +190,6 @@ def test_grad_eval_matches_finite_differences():
         fd = (0.5 * (x + dx) @ e @ (x + dx) - 0.5 * (x - dx) @ e @ (x - dx)) \
             / (2 * h)
         assert abs(g[i] - fd) < 1e-6
-
-
-def test_prox_eval_and_validation():
-    out = prox_eval(BoxProx(1.0), 0.5, [2.0, -2.0])
-    assert np.allclose(out, [1.0, -1.0])
-    with pytest.raises(ValueError):
-        prox_eval(BoxProx(1.0), 0.0, [1.0])
     with pytest.raises(ValueError):
         grad_eval(np.eye(2), np.zeros(3))
 
