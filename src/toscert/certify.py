@@ -252,6 +252,8 @@ def certify_residual_rate(alpha, lam, classes,
     _require_case1(classes)
     if not alpha > 0:
         raise CertificationError("alpha must be positive")
+    if lam is not None and not lam > 0:
+        raise CertificationError("lam must be positive")
     prob = _rate_program(-1.0, np.zeros((4, 4)), _RESID_P / alpha ** 2,
                          _qc_mats(alpha, classes), np.eye(4), lam)
     sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
@@ -384,6 +386,8 @@ def certify_linear_rate(alpha, classes, lam=None,
                         gap_tol=sdpcore.DEFAULT_GAP_TOL,
                         max_iter=sdpcore.DEFAULT_MAX_ITER):
     """Linear-rate certificate rho2 < 1, jointly over lam unless pinned."""
+    if lam is not None and not lam > 0:
+        raise CertificationError("lam must be positive")
     rho2, lam_out, sigma, keep, status = linear_rate_value(
         alpha, classes, lam, feas_tol, gap_tol, max_iter)
     if status == sdpcore.STATUS_INFEASIBLE:

@@ -9,7 +9,8 @@ E = diag(Q, ..., Q, R, ..., R).
 
 The projection onto D solves with a banded Cholesky factor of the block
 tridiagonal Gram A_c A_c^T of the dynamics rows, factored once per
-instance, so a splitting step costs O(N n^2) rather than a dense solve.
+instance and applied by LAPACK pbtrs, so a splitting step costs O(N n^2)
+rather than a dense solve.
 At the demo's default size (n = 20, m = 5, N = 20) the input box rarely
 binds at the optimum: of instance seeds 0-30 only 18 and 21 saturate an
 input.
@@ -19,7 +20,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded, get_lapack_funcs
 
 from . import tos
 
@@ -129,7 +130,9 @@ def assemble_oracles(inst):
     a, b, q, r, x_init = inst.a, inst.b, inst.q, inst.r, inst.x_init
     n, m, horizon = a.shape[0], b.shape[1], inst.horizon
     layout = TrajectoryLayout(n, m, horizon)
-    gram_chol = (cholesky_banded(_gram_band(inst)), False)
+    # cholesky_banded checks the band once; each solve checks its rhs only
+    gram_chol = cholesky_banded(_gram_band(inst))
+    pbtrs, = get_lapack_funcs(("pbtrs",), (gram_chol,))
     ublock = layout.u_block()
 
     def blocks(w):
@@ -148,7 +151,12 @@ def assemble_oracles(inst):
         res = np.empty_like(xs)
         res[0] = xs[0] - x_init
         res[1:] = xs[1:] - xs[:-1] @ a.T - us @ b.T
-        ys = cho_solve_banded(gram_chol, res.ravel()).reshape(horizon + 1, n)
+        if not np.isfinite(res).all():
+            raise ValueError("array must not contain infs or NaNs")
+        ys, info = pbtrs(gram_chol, res.ravel())
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of pbtrs")
+        ys = ys.reshape(horizon + 1, n)
         x_out = xs - ys
         x_out[:-1] += ys[1:] @ a
         return np.concatenate((x_out.ravel(), (us + ys[1:] @ b).ravel()))

@@ -7,12 +7,18 @@ primal-dual path-following interior point method on the conic reformulation
 constraints), with Mehrotra predictor-corrector steps and dense Cholesky
 Newton solves. All certificate programs have base dimension <= 7 and at
 most a handful of variables, so a bespoke dense method is plenty.
+
+At that size an iteration costs library-call overhead more than
+arithmetic, so each iteration takes one eigendecomposition and one
+inverse Cholesky factor of x and of z, which its Newton system and its
+four step-length searches share, and calls LAPACK's Cholesky routines
+directly rather than through scipy's checking wrappers.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .lmikit import max_eig, sym_check
 
@@ -80,12 +86,41 @@ def _is_pd(m):
         return False
 
 
-def _steplen(x, dx):
-    """Largest step a with x + a*dx still positive definite (capped at 1e6)."""
-    w = np.linalg.eigvalsh(x)
-    xs = x + max(0.0, 1e-14 - w.min()) * np.eye(x.shape[0])
-    lo = np.linalg.cholesky(xs)
-    li = np.linalg.inv(lo)
+def _cho_factor(a):
+    """Upper Cholesky factor of a, as scipy.linalg.cho_factor computes it."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = dpotrf(a, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    # cho_solve re-checks the factor on every solve; once here is enough
+    if info < 0 or not np.isfinite(c).all():
+        raise ValueError("dpotrf gave no finite factor")
+    return c
+
+
+def _cho_solve(c, b):
+    """Solve with a factor of _cho_factor, as scipy.linalg.cho_solve does."""
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dpotrs(c, b)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
+
+
+def _inv_chol(m, w, eye):
+    """Inverse Cholesky factor of m lifted by its eigenvalues w to be PD."""
+    ms = m + max(0.0, 1e-14 - w.min()) * eye
+    return np.linalg.inv(np.linalg.cholesky(ms))
+
+
+def _steplen(li, dx):
+    """Largest step a with x + a*dx still positive definite (capped at 1e6).
+
+    li is the inverse Cholesky factor of x from _inv_chol.
+    """
     s = li @ dx @ li.T
     lam = np.linalg.eigvalsh(0.5 * (s + s.T)).min()
     return 1e6 if lam >= -1e-14 else -1.0 / lam
@@ -127,6 +162,8 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
     b = b / cscale
 
     avec = np.stack([a.ravel() for a in amats])
+    astack = avec.reshape(m, n, n)
+    eye = np.eye(n)
     x = np.eye(n)
     z = np.eye(n)
     y = np.zeros(m)
@@ -142,8 +179,8 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
         mu = np.vdot(x, z) / n
         pres = np.linalg.norm(rp) / bn
         dres = np.linalg.norm(rd) / cn
-        gap_abs = abs(np.vdot(cmat, x) - b @ y)
-        gap = gap_abs / (1.0 + abs(b @ y) + abs(np.vdot(cmat, x)))
+        pobj, dobj = np.vdot(cmat, x), b @ y
+        gap = abs(pobj - dobj) / (1.0 + abs(dobj) + abs(pobj))
         err = max(pres, dres, gap)
         if best is None or err < 0.9999 * best[0]:
             best = (err, y.copy(), pres, dres, gap)
@@ -157,19 +194,22 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
             tag = "stall"
             break
         try:
-            w = np.linalg.eigvalsh(z)
-            shift = 0.0 if w.min() > 0 else (1e-14 - w.min())
-            zc = cho_factor(z + shift * np.eye(n))
-            zi = cho_solve(zc, np.eye(n))
+            # x and z stay fixed until the step: factor each once
+            wx = np.linalg.eigvalsh(x)
+            wz = np.linalg.eigvalsh(z)
+            lx = _inv_chol(x, wx, eye)
+            lz = _inv_chol(z, wz, eye)
+            shift = 0.0 if wz.min() > 0 else (1e-14 - wz.min())
+            zi = _cho_solve(_cho_factor(z + shift * eye), eye)
             zi = 0.5 * (zi + zi.T)
-            zax = np.stack([(zi @ a @ x).ravel() for a in amats])
+            zax = (zi @ astack @ x).reshape(m, n * n)
             mmat = avec @ zax.T
             mmat = 0.5 * (mmat + mmat.T)
             reg = 1e-13 * max(np.trace(mmat) / m, 1.0)
             mc = None
             for _ in range(8):
                 try:
-                    mc = cho_factor(mmat + reg * np.eye(m))
+                    mc = _cho_factor(mmat + reg * np.eye(m))
                     break
                 except np.linalg.LinAlgError:
                     reg *= 100.0
@@ -180,19 +220,19 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
             def newton(sigmu, corr):
                 base = sigmu * zi - x - zi @ (rd @ x + corr)
                 rhs = rp - avec @ (0.5 * (base + base.T)).ravel()
-                dy = cho_solve(mc, rhs)
+                dy = _cho_solve(mc, rhs)
                 dz = rd - (dy @ avec).reshape(n, n)
                 dxr = sigmu * zi - x - zi @ (dz @ x + corr)
                 return dy, 0.5 * (dxr + dxr.T), dz
 
             dy_a, dx_a, dz_a = newton(0.0, 0.0)
-            ap = min(_steplen(x, dx_a), 1.0)
-            ad = min(_steplen(z, dz_a), 1.0)
+            ap = min(_steplen(lx, dx_a), 1.0)
+            ad = min(_steplen(lz, dz_a), 1.0)
             mu_aff = np.vdot(x + ap * dx_a, z + ad * dz_a) / n
             sigma = min(max((max(mu_aff, 0.0) / mu) ** 3, 1e-10), 1.0)
             dy, dx, dz = newton(sigma * mu, dz_a @ dx_a)
-            ap = min(0.98 * _steplen(x, dx), 1.0)
-            ad = min(0.98 * _steplen(z, dz), 1.0)
+            ap = min(0.98 * _steplen(lx, dx), 1.0)
+            ad = min(0.98 * _steplen(lz, dz), 1.0)
             while not _is_pd(x + ap * dx) and ap > 1e-12:
                 ap *= 0.5
             while not _is_pd(z + ad * dz) and ad > 1e-12:
@@ -210,8 +250,8 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
             gn = abs(np.vdot(cmat, x) - b @ y)
             if mun * n < 1e-3 * gn and restarts < 10:
                 delta = np.sqrt(gn / n)
-                x = x + delta * np.eye(n)
-                z = z + delta * np.eye(n)
+                x = x + delta * eye
+                z = z + delta * eye
                 restarts += 1
         except np.linalg.LinAlgError:
             tag = "numfail"

@@ -58,6 +58,31 @@ def test_certify_infeasible_exit_code(tmp_path):
     assert err["error"] == "infeasible"
 
 
+RESIDUAL_DOC = {
+    "mode": "sublinearResidual",
+    "alpha": 1.0,
+    "f": {"m": 0, "L": "inf"},
+    "g": {"m": 0, "L": "inf"},
+    "h": {"m": 0, "L": 1},
+}
+
+
+@pytest.mark.parametrize("doc, lam", [
+    (RESIDUAL_DOC, "0"),
+    (RESIDUAL_DOC, "-0.5"),
+    (dict(LINEAR_DOC, alpha=3.0), "0"),
+], ids=["residual-0", "residual-minus-0.5", "linear-0"])
+def test_certify_refuses_nonpositive_lambda(tmp_path, doc, lam):
+    inp = _write(tmp_path / "in.json", doc)
+    out = str(tmp_path / "err.json")
+    code = cli.main(["certify", inp, "--lambda", lam, "--out", out])
+    assert code == cli.EXIT_INFEASIBLE
+    with open(out) as fh:
+        err = json.load(fh)
+    assert err["error"] == "infeasible"
+    assert "lam must be positive" in err["message"]
+
+
 def test_certify_bad_input_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

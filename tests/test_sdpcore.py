@@ -1,11 +1,13 @@
 """Tests for the dense LMI interior-point engine."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
-from toscert import sdpcore
+from toscert import certify, sdpcore
 from toscert.lmikit import RegularityClass, build_qc_triplet, build_w0
 from toscert.sdpcore import (LinearSdp, STATUS_INFEASIBLE, STATUS_OPTIMAL,
                              analytic_instances, feasibility_margin, solve_sdp)
@@ -124,3 +126,106 @@ def test_iterations_counts_the_iterations_run():
     assert sol.status != STATUS_OPTIMAL
     assert sol.iterations == 3
     assert solve_sdp(inst).iterations > 3
+
+
+def _exact_pd(m):
+    """Positive definiteness of the exact rational matrix m, by LDL^T."""
+    a = [list(row) for row in m]
+    n = len(a)
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
+def _exact_step(x, dx, t):
+    """x + t dx in exact rational arithmetic."""
+    t = Fraction(t)
+    return [[Fraction(xv) + t * Fraction(dv) for xv, dv in zip(xr, dr)]
+            for xr, dr in zip(x.tolist(), dx.tolist())]
+
+
+def test_steplen_matches_brute_force():
+    rng = np.random.default_rng(11)
+    pairs = []
+    for n, cond in ((2, 1.0), (5, 1e3), (8, 1e6), (8, 1e12)):
+        for _ in range(3):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            x = (q * np.geomspace(1.0, 1.0 / cond, n)) @ q.T
+            x = 0.5 * (x + x.T)
+            b = rng.standard_normal((n, n))
+            # a push along x's smallest eigenvector makes dx indefinite
+            push = 2.0 * np.abs(b).sum() * np.outer(q[:, -1], q[:, -1])
+            pairs.append((x, b + b.T - push, False))
+            pairs.append((x, b @ b.T, True))
+    for x, dx, psd in pairs:
+        li = sdpcore._inv_chol(x, np.linalg.eigvalsh(x), np.eye(len(x)))
+        a = sdpcore._steplen(li, dx)
+        if psd:
+            assert a == 1e6
+            continue
+        assert 0 < a < 1e6
+        assert _exact_pd(_exact_step(x, dx, 0.999 * a))
+        assert not _exact_pd(_exact_step(x, dx, 1.001 * a))
+
+
+def test_iterations_are_steplen_calls_over_four(monkeypatch):
+    # the benchmark counts IPM iterations as _steplen calls / 4
+    calls = [0]
+    steplen = sdpcore._steplen
+
+    def counted(*args):
+        calls[0] += 1
+        return steplen(*args)
+
+    monkeypatch.setattr(sdpcore, "_steplen", counted)
+    for prob, _ in analytic_instances():
+        calls[0] = 0
+        sol = solve_sdp(prob)
+        assert sol.status == STATUS_OPTIMAL
+        assert calls[0] == 4 * sol.iterations > 0
+    solved = []
+    solve = sdpcore.solve_sdp
+
+    def recorded(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(sdpcore, "solve_sdp", recorded)
+    calls[0] = 0
+    certify.certify_objective_rate(1.0, 1.0, 1.0)
+    (sol,) = solved
+    assert sol.status == STATUS_OPTIMAL
+    assert calls[0] == 4 * sol.iterations > 0
+
+
+def test_raw_cholesky_matches_scipy_bitwise():
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 8, 12):
+        a = rng.standard_normal((n, n))
+        a = a @ a.T + 0.1 * np.eye(n)
+        c = sdpcore._cho_factor(a)
+        ref, lower = cho_factor(a)
+        assert not lower
+        assert c.tobytes() == ref.tobytes()
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+                  np.eye(n)):
+            assert (sdpcore._cho_solve(c, b).tobytes()
+                    == cho_solve((ref, False), b).tobytes())
+
+
+def test_raw_cholesky_refuses_bad_input():
+    with pytest.raises(np.linalg.LinAlgError):
+        sdpcore._cho_factor(np.diag([1.0, -1.0, 2.0]))
+    c = sdpcore._cho_factor(np.eye(3))
+    for bad in (math.nan, math.inf):
+        a = np.eye(3)
+        a[1, 2] = a[2, 1] = bad
+        with pytest.raises(ValueError):
+            sdpcore._cho_factor(a)
+        with pytest.raises(ValueError):
+            sdpcore._cho_solve(c, np.array([1.0, bad, 0.0]))
