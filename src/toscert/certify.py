@@ -185,28 +185,57 @@ _LAM_LIN = np.array([
 _E = np.diag([0.0, 0.0, 0.0, 1.0])
 
 
-def _rate_program(sense, const, rate, qs, u, lam=None, fold=None):
-    """The LinearSdp of const + t rate + R(lam) + sum s_i Q_i <= 0 on span(u).
+# Equal deviations of x_B, y, x_A and z. When m = 0 throughout, v^T F v = 0
+# for every coefficient F of both sublinear programs (residual W0, objective
+# W1), so neither LMI has an interior: every feasible M has M v = 0. No Q_i is
+# then NSD (that takes m = L > 0). On this face every coefficient of the
+# residual program also annihilates w = (0, -1, 0, 1).
+_FACE_V = np.ones(4)
+# integer columns spanning the orthogonal complement of _FACE_V
+_FACE_BASIS = np.array([
+    [1.0, 1.0, 1.0],
+    [-1.0, 0.0, 0.0],
+    [0.0, -1.0, 0.0],
+    [0.0, 0.0, -1.0],
+])
+
+
+def _rate_program(sense, const, rate, qs, lam=None):
+    """const + t rate + R(lam) + sum s_i Q_i <= 0 as a LinearSdp on its face.
 
     t >= 0 is the rate, minimized for sense = 1 and maximized for sense = -1;
     R(lam) = lam^2 _RESID_P + lam _LAM_LIN. A pinned lam puts R(lam) in the
     constant. With lam=None, lam is the variable after t: its square enters
     through the Schur border eta(lam) with corner -1, and
-    LAM_MIN <= lam <= LAM_MAX sits on the diagonal. The multipliers s >= 0
-    are the remaining variables, unless fold = S fixes s = S (t, lam): then
-    S is folded into the coefficients and s >= 0 sits on the diagonal.
+    LAM_MIN <= lam <= LAM_MAX sits on the diagonal. The face, found from the
+    data: if _FACE_V is isotropic for every coefficient, M v = 0 fixes
+    s = S (1, t[, lam]), S is folded into the coefficients, s >= 0 sits on the
+    diagonal and the LMI is kept on _FACE_BASIS; otherwise the s_i >= 0 are
+    variables, and s_i = inf for each Q_i that _reduce_nsd drops. Directions
+    every coefficient annihilates are then projected out. Returns the program
+    and a map from its solution to (t, lam, s).
     """
     joint = lam is None
     if joint:
         coefs = [const, rate, _LAM_LIN]
     else:
         coefs = [const + lam ** 2 * _RESID_P + lam * _LAM_LIN, rate]
-    if fold is None:
-        coefs += qs
+    n0 = len(coefs)
+    if all(abs(_FACE_V @ m @ _FACE_V) <= 1e-12 * (_FACE_V @ np.abs(m) @ _FACE_V)
+           for m in coefs + qs):
+        # the Q_i v span the complement of v, so M v = 0 fixes s exactly
+        qv = np.column_stack([q @ _FACE_V for q in qs])
+        wv = np.column_stack([m @ _FACE_V for m in coefs])
+        fold = np.linalg.lstsq(qv, -wv, rcond=None)[0]
+        coefs = [w + sum(s * q for s, q in zip(col, qs))
+                 for w, col in zip(coefs, fold.T)]
+        keep, u = [], _FACE_BASIS
     else:
-        coefs[1:] = [w + sum(s * q for s, q in zip(col, qs))
-                     for w, col in zip(coefs[1:], fold.T)]
-    tail = np.zeros((len(coefs), 2 * joint + (0 if fold is None else len(qs))))
+        fold = np.zeros((0, n0))
+        keep, u = _reduce_nsd(qs, 4)
+        coefs += [qs[i] for i in keep]
+    tail = np.zeros((len(coefs), 2 * joint + len(fold)))
+    tail[:n0, 2 * joint:] = -fold.T
     if joint:
         u = np.pad(u, (0, 1))
         u[4, -1] = 1.0
@@ -215,28 +244,32 @@ def _rate_program(sense, const, rate, qs, u, lam=None, fold=None):
         coefs[2][:4, 4] = coefs[2][4, :4] = eta_vector(1.0)
         tail[0, :2] = LAM_MIN, -LAM_MAX
         tail[2, :2] = -1.0, 1.0
-    if fold is not None:
-        tail[1:, 2:] = -fold.T
-    k = u.shape[1]
-    mats = []
-    for m, d in zip(coefs, tail):
-        p = np.diag(np.concatenate([np.zeros(k), d]))
-        p[:k, :k] = u.T @ m @ u
-        mats.append(p)
+    blocks = [u.T @ m @ u for m in coefs]
+    _, sv, vt = np.linalg.svd(np.vstack(blocks))
+    live = vt[sv > 1e-12 * sv[0]]
+    if len(live) < len(vt):  # else keep the basis, and the program's bits
+        blocks = [live @ b @ live.T for b in blocks]
+    k = len(blocks[0])
+    mats = [np.diag(np.concatenate([np.zeros(k), d])) for d in tail]
+    for p, b in zip(mats, blocks):
+        p[:k, :k] = b
     c = np.zeros(len(mats) - 1)
     c[0] = sense
     nonneg = [True] * c.size
     if joint:
         nonneg[1] = False
-    return sdpcore.LinearSdp(c, mats[0], tuple(mats[1:]), tuple(nonneg))
+    prob = sdpcore.LinearSdp(c, mats[0], tuple(mats[1:]), tuple(nonneg))
 
-
-def _unpack(sol, lam):
-    """(rate, lam, multipliers) from the solution of a _rate_program."""
-    if lam is not None:
-        return float(sol.y[0]), lam, tuple(float(v) for v in sol.y[1:])
-    lam = float(min(max(sol.y[1], LAM_MIN), LAM_MAX))
-    return float(sol.y[0]), lam, tuple(float(v) for v in sol.y[2:])
+    def unpack(sol):
+        t = float(sol.y[0])
+        lam_out = float(min(max(sol.y[1], LAM_MIN), LAM_MAX)) if joint else lam
+        if len(fold):
+            sigma = fold @ np.array([1.0, t, lam_out][:n0])
+        else:
+            sigma = np.full(len(qs), math.inf)
+            sigma[keep] = sol.y[1 + joint:]
+        return t, lam_out, tuple(float(s) for s in sigma)
+    return prob, unpack
 
 
 def certify_residual_rate(alpha, lam, classes,
@@ -254,10 +287,10 @@ def certify_residual_rate(alpha, lam, classes,
         raise CertificationError("alpha must be positive")
     if lam is not None and not lam > 0:
         raise CertificationError("lam must be positive")
-    prob = _rate_program(-1.0, np.zeros((4, 4)), _RESID_P / alpha ** 2,
-                         _qc_mats(alpha, classes), np.eye(4), lam)
+    prob, unpack = _rate_program(-1.0, np.zeros((4, 4)), _RESID_P / alpha ** 2,
+                                 _qc_mats(alpha, classes), lam)
     sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
-    theta, lam_out, sigma = _unpack(sol, lam)
+    theta, lam_out, sigma = unpack(sol)
     if sol.status == sdpcore.STATUS_INFEASIBLE or theta <= 0:
         raise CertificationError("no positive theta at this (alpha, lam)")
     if sol.status != sdpcore.STATUS_OPTIMAL:
@@ -269,29 +302,15 @@ def certify_residual_rate(alpha, lam, classes,
         margin=margin, provenance="sdp", theta=theta)
 
 
-# Equal deviations of x_B, y, x_A and z: v^T W1 v = v^T Q_i v = 0 for every
-# (theta, lam, alpha, Lf, Lh) when m = 0 throughout, so the objective-rate LMI
-# has no interior and every feasible M = W1 + sum sigma_i Q_i has M v = 0.
-_FACE_V = np.ones(4)
-# integer columns spanning the orthogonal complement of _FACE_V
-_FACE_BASIS = np.array([
-    [1.0, 1.0, 1.0],
-    [-1.0, 0.0, 0.0],
-    [0.0, -1.0, 0.0],
-    [0.0, 0.0, -1.0],
-])
-
-
 def certify_objective_rate(alpha, Lf, Lh, feas_tol=sdpcore.DEFAULT_FEAS_TOL,
                            gap_tol=sdpcore.DEFAULT_GAP_TOL,
                            max_iter=sdpcore.DEFAULT_MAX_ITER):
     """Maximal theta for the objective-value rate with smooth f and h.
 
     Solves the Schur-extended program jointly over (theta, lam, sigma),
-    lam searched over [LAM_MIN, LAM_MAX], restricted to the face M v = 0
-    (facial reduction): the equalities fix sigma as a linear function of
-    (theta, lam), and the LMI is kept on the complement of v, where it is
-    strictly feasible. A certificate is issued only from an optimal solve.
+    lam searched over [LAM_MIN, LAM_MAX], on the face M v = 0 that
+    _rate_program finds: it fixes sigma as a linear function of
+    (theta, lam). A certificate is issued only from an optimal solve.
     """
     if not alpha > 0:
         raise CertificationError("alpha must be positive")
@@ -303,19 +322,12 @@ def certify_objective_rate(alpha, Lf, Lh, feas_tol=sdpcore.DEFAULT_FEAS_TOL,
     qs = _qc_mats(alpha, classes)
     t_coef = build_w1(1.0, 1.0, alpha, Lf, Lh) - \
         build_w1(1.0, 0.0, alpha, Lf, Lh)
-    # M v = 0 (eta is orthogonal to v): the Q_i v span the complement of v,
-    # so sigma = s_coef @ (theta, lam) exactly
-    qv = np.column_stack([q @ _FACE_V for q in qs])
-    wv = np.column_stack([t_coef @ _FACE_V, _LAM_LIN @ _FACE_V])
-    s_coef = np.linalg.lstsq(qv, -wv, rcond=None)[0]
-    prob = _rate_program(-1.0, np.zeros((4, 4)), t_coef, qs, _FACE_BASIS,
-                         fold=s_coef)
+    prob, unpack = _rate_program(-1.0, np.zeros((4, 4)), t_coef, qs)
     sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
     if sol.status != sdpcore.STATUS_OPTIMAL:
         raise CertificationError(
             f"objective-rate program ended {sol.status} at this alpha")
-    theta, lam, _ = _unpack(sol, None)
-    sigma = tuple(float(v) for v in s_coef @ np.array([theta, lam]))
+    theta, lam, sigma = unpack(sol)
     if theta <= 0:
         raise CertificationError("no positive theta at this alpha")
     m2 = build_w1(lam, theta, alpha, Lf, Lh) - \
@@ -334,28 +346,17 @@ def linear_rate_value(alpha, classes, lam=None,
                       max_iter=sdpcore.DEFAULT_MAX_ITER):
     """Optimal rho2 of the linear-rate program, unclipped.
 
-    Returns (rho2, lam, sigma, kept, status): sigma holds multipliers for the
-    QCs in kept; eliminated degenerate QCs take the value inf. With lam=None
-    the relaxation is optimized jointly (Schur extension, lam in
-    [LAM_MIN, LAM_MAX]); otherwise lam is pinned.
+    Returns (rho2, lam, sigma, status); eliminated degenerate QCs take the
+    multiplier inf. With lam=None the relaxation is optimized jointly (Schur
+    extension, lam in [LAM_MIN, LAM_MAX]); otherwise lam is pinned.
     """
     if not alpha > 0:
         raise CertificationError("alpha must be positive")
     if not check_assumption1(classes):
         raise CertificationError("assumption1 violated")
-    qs = _qc_mats(alpha, classes)
-    keep, u = _reduce_nsd(qs, 4)
-    prob = _rate_program(1.0, _E, -_E, [qs[i] for i in keep], u, lam)
+    prob, unpack = _rate_program(1.0, _E, -_E, _qc_mats(alpha, classes), lam)
     sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
-    rho2, lam_out, sigma = _unpack(sol, lam)
-    return rho2, lam_out, sigma, keep, sol.status
-
-
-def _expand_sigma(sigma, keep):
-    full = [math.inf] * 3
-    for s, i in zip(sigma, keep):
-        full[i] = s
-    return tuple(full)
+    return (*unpack(sol), sol.status)
 
 
 def audit_linear(alpha, lam, rho2, sigma, classes):
@@ -388,16 +389,15 @@ def certify_linear_rate(alpha, classes, lam=None,
     """Linear-rate certificate rho2 < 1, jointly over lam unless pinned."""
     if lam is not None and not lam > 0:
         raise CertificationError("lam must be positive")
-    rho2, lam_out, sigma, keep, status = linear_rate_value(
+    rho2, lam_out, sigma, status = linear_rate_value(
         alpha, classes, lam, feas_tol, gap_tol, max_iter)
     if status == sdpcore.STATUS_INFEASIBLE:
         raise CertificationError("linear-rate program infeasible")
     if not rho2 < 1.0:
         raise CertificationError("no linear certificate at this alpha")
-    full_sigma = _expand_sigma(sigma, keep)
-    margin = audit_linear(alpha, lam_out, rho2, full_sigma, classes)
+    margin = audit_linear(alpha, lam_out, rho2, sigma, classes)
     return RateCertificate(
-        mode=MODE_LINEAR, alpha=alpha, lam=lam_out, sigma=full_sigma,
+        mode=MODE_LINEAR, alpha=alpha, lam=lam_out, sigma=sigma,
         margin=margin, provenance="sdp", rho2=rho2)
 
 

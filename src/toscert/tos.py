@@ -45,7 +45,6 @@ class IterateTrace:
     lam: float
     z: list = field(default_factory=list)
     x_b: list = field(default_factory=list)
-    y: list = field(default_factory=list)
     x_a: list = field(default_factory=list)
     residual_norm2: list = field(default_factory=list)
     objective: list = field(default_factory=list)
@@ -98,12 +97,11 @@ def run(oracle, z0, config):
         raise ValueError("z0 must be finite")
     trace = IterateTrace(alpha=config.alpha, lam=config.lam)
     for _ in range(config.max_iter):
-        z_next, (x_b, y, x_a) = tos_step(z, oracle, config)
+        z_next, (x_b, _, x_a) = tos_step(z, oracle, config)
         r = residual(x_b, x_a, config.alpha)
         rnorm2 = float(r @ r)
         trace.z.append(z.copy())
         trace.x_b.append(x_b)
-        trace.y.append(y)
         trace.x_a.append(x_a)
         trace.residual_norm2.append(rnorm2)
         if oracle.objective is not None:

@@ -106,9 +106,9 @@ def test_criterion_05_primal_dual_tightness():
         classes = ProblemClasses(*(RegularityClass(m, L) for m, L in raw))
         n_contract = 0
         for alpha in np.geomspace(lo, hi, 25):
-            _, lam_free, _, _, _ = linear_rate_value(alpha, classes)
+            _, lam_free, _, _ = linear_rate_value(alpha, classes)
             lam = min(max(lam_free, certify.LAM_MIN), certify.LAM_MAX)
-            rho2, _, _, _, _ = linear_rate_value(alpha, classes, lam=lam)
+            rho2, _, _, _ = linear_rate_value(alpha, classes, lam=lam)
             dual = dual_linear_rate(alpha, lam, classes)
             worst = max(worst, abs(rho2 - dual))
             if rho2 < 1.0 - 1e-6:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, null_space
 
 from toscert import certify, sdpcore, tos
 from toscert.certify import (CertificationError, MODE_LINEAR, MODE_OBJECTIVE,
@@ -79,13 +79,50 @@ def test_residual_rate_free_lambda():
     assert cert.margin <= 1e-8
 
 
-@pytest.mark.parametrize("alpha, lam", [(0.5413183669370272, 1.5),
-                                        (0.05860511487667399, None)])
+STALLED_POINTS = [(0.5413183669370272, 1.5), (0.05860511487667399, None)]
+
+
+@pytest.mark.parametrize("alpha, lam", STALLED_POINTS)
 def test_residual_rate_refuses_non_optimal_solves(alpha, lam):
-    # both solves stop at maxIterations with a theta whose LMI has audit
-    # margin +3.1e-4 and +4.3e-4: no certificate may come from them
+    # cut at 3 iterations, both solves stop at maxIterations: no certificate
+    # may come from them
     with pytest.raises(CertificationError, match="ended maxIterations"):
-        certify_residual_rate(alpha, lam, certify._case1_classes(1.0))
+        certify_residual_rate(alpha, lam, certify._case1_classes(1.0),
+                              max_iter=3)
+
+
+@pytest.mark.parametrize("alpha, lam", STALLED_POINTS)
+def test_residual_rate_certifies_on_its_face(alpha, lam):
+    # without the face these solves stalled at maxIterations with audit
+    # margins +3.1e-4 and +4.3e-4; on it they converge
+    cert = certify_residual_rate(alpha, lam, certify._case1_classes(1.0))
+    assert cert.margin <= 1e-12
+
+
+def test_residual_grid_is_decisive(monkeypatch):
+    # every solve on the grid ends optimal or infeasible, every certificate
+    # passes its audit, and the SDP meets the closed form at (1, 1)
+    statuses = []
+    solve = sdpcore.solve_sdp
+
+    def spy(prob, *args, **kwargs):
+        sol = solve(prob, *args, **kwargs)
+        statuses.append(sol.status)
+        return sol
+    monkeypatch.setattr(sdpcore, "solve_sdp", spy)
+    case1 = certify._case1_classes(1.0)
+    for lam in (None, 0.5, 1.0, 1.5):
+        for alpha in np.geomspace(0.05, 5.0, 30):
+            try:
+                cert = certify_residual_rate(float(alpha), lam, case1)
+            except CertificationError:
+                continue
+            assert cert.margin <= 1e-12, (alpha, lam)
+    assert len(statuses) == 120
+    assert set(statuses) <= {sdpcore.STATUS_OPTIMAL,
+                             sdpcore.STATUS_INFEASIBLE}
+    theta = certify_residual_rate(1.0, 1.0, case1).theta
+    assert abs(theta - symbolic_sublinear(1.0, 1.0).theta) <= 1e-9
 
 
 def test_residual_rate_input_validation():
@@ -193,10 +230,9 @@ def test_dual_solution_matrix():
 
 
 def test_audit_linear_detects_bad_rate():
-    rho2, lam, sigma, keep, _ = linear_rate_value(0.2, STRONG_G, lam=0.5)
-    full = certify._expand_sigma(sigma, keep)
-    good = audit_linear(0.2, 0.5, rho2, full, STRONG_G)
-    bad = audit_linear(0.2, 0.5, rho2 - 0.05, full, STRONG_G)
+    rho2, lam, sigma, _ = linear_rate_value(0.2, STRONG_G, lam=0.5)
+    good = audit_linear(0.2, 0.5, rho2, sigma, STRONG_G)
+    bad = audit_linear(0.2, 0.5, rho2 - 0.05, sigma, STRONG_G)
     assert good <= 1e-8
     assert bad > 1e-3
 
@@ -330,15 +366,24 @@ LINEAR_LAM = 1.2623475379863163
 def _paper_program(shape, y, lmi):
     """The LMI of one program shape at y, from the paper's matrices.
 
-    lmi is the program's own matrix at y; the objective's face program
-    carries its multipliers on the diagonal, and they are read from there.
+    lmi is the program's own matrix at y; the face programs carry their
+    multipliers on the diagonal, and they are read from there.
     """
-    case1 = certify._case1_classes(1.0)
-    if shape == "residual-pinned":
-        return build_w0(0.5, y[0], 1.5) + _qc_sum(1.5, case1, y[1:])
-    if shape == "residual-joint":
-        m = build_w0(y[1], y[0], 1.0) + _qc_sum(1.0, case1, y[2:])
-        return _schur_on(m, y[1], np.eye(4))
+    if shape.startswith("residual"):
+        alpha, lam = (1.5, 0.5) if shape == "residual-pinned" else (1.0, y[1])
+        sigma = -np.diag(lmi)[-3:]
+        m = build_w0(lam, y[0], alpha) + _qc_sum(
+            alpha, certify._case1_classes(1.0), sigma)
+        # the face: equal deviations v and w = (0, -1, 0, 1) are null
+        # directions, and w = _FACE_BASIS (1, 0, -1)
+        w, wc = np.array([0.0, -1.0, 0.0, 1.0]), np.array([1.0, 0.0, -1.0])
+        assert (certify._FACE_BASIS @ wc == w).all()
+        for d in (np.ones(4), w):
+            assert np.abs(m @ d).max() <= 1e-12 * np.abs(m).max()
+        basis = certify._FACE_BASIS @ null_space(wc[None])
+        if shape == "residual-pinned":
+            return block_diag(basis.T @ m @ basis, np.diag(-sigma))
+        return block_diag(_schur_on(m, lam, basis), np.diag(-sigma))
     if shape == "objective-face":
         classes = _cls(0.0, 2.0, 0.0, math.inf, 0.0, 3.0)
         sigma = -np.diag(lmi)[6:]
@@ -390,15 +435,20 @@ def test_program_matches_paper_lmi(shape, monkeypatch):
     for _ in range(20):
         y = rng.uniform(0.0, 3.0, prob.nvars)
         y[0] = rng.uniform(0.01, 1.0)
-        if not prob.nonneg[1]:
+        if not all(prob.nonneg):
             y[1] = rng.uniform(0.05, 2.0)
         points.append(y)
     verdicts = []
     for y in points:
         lmi = prob.f0 + sum(yi * fi for yi, fi in zip(y, prob.fi))
         ref = _paper_program(shape, y, lmi)
+        got, want = np.linalg.eigvalsh(lmi), np.linalg.eigvalsh(ref)
+        if shape.startswith("residual"):
+            # any orthonormal basis of the face's complement of w serves, so
+            # the program's matrix is the reference's up to a rotation
+            lmi, ref = np.diag(got), np.diag(want)
         assert np.abs(lmi - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
-        nsd = np.linalg.eigvalsh(lmi).max() <= 1e-7
-        assert nsd == (np.linalg.eigvalsh(ref).max() <= 1e-7)
+        nsd = got.max() <= 1e-7
+        assert nsd == (want.max() <= 1e-7)
         verdicts.append(nsd)
     assert verdicts[0] and not all(verdicts)

@@ -83,6 +83,17 @@ def test_certify_refuses_nonpositive_lambda(tmp_path, doc, lam):
     assert "lam must be positive" in err["message"]
 
 
+def test_certify_residual_meets_closed_form(tmp_path):
+    # alpha = lam = 1 with a 1-Lipschitz h: the closed form gives theta = 1/2
+    inp = _write(tmp_path / "in.json", RESIDUAL_DOC)
+    out = str(tmp_path / "cert.json")
+    code = cli.main(["certify", inp, "--lambda", "1", "--out", out])
+    assert code == cli.EXIT_OK
+    with open(out) as fh:
+        cert = certify.certificate_from_json(fh.read())
+    assert abs(cert.theta - 0.5) <= 1e-9
+
+
 def test_certify_bad_input_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

