@@ -290,12 +290,13 @@ def certify_residual_rate(alpha, lam, classes,
     prob, unpack = _rate_program(-1.0, np.zeros((4, 4)), _RESID_P / alpha ** 2,
                                  _qc_mats(alpha, classes), lam)
     sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
+    # a cut solve's y says nothing of theta, so its status goes first
+    if sol.status not in (sdpcore.STATUS_OPTIMAL, sdpcore.STATUS_INFEASIBLE):
+        raise CertificationError(
+            f"residual-rate program ended {sol.status} at this (alpha, lam)")
     theta, lam_out, sigma = unpack(sol)
     if sol.status == sdpcore.STATUS_INFEASIBLE or theta <= 0:
         raise CertificationError("no positive theta at this (alpha, lam)")
-    if sol.status != sdpcore.STATUS_OPTIMAL:
-        raise CertificationError(
-            f"residual-rate program ended {sol.status} at this (alpha, lam)")
     margin = _audit_residual(alpha, lam_out, theta, sigma, classes)
     return RateCertificate(
         mode=MODE_RESIDUAL, alpha=alpha, lam=lam_out, sigma=sigma,

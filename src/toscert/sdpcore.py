@@ -8,6 +8,12 @@ constraints), with Mehrotra predictor-corrector steps and dense Cholesky
 Newton solves. All certificate programs have base dimension <= 7 and at
 most a handful of variables, so a bespoke dense method is plenty.
 
+Every program takes one run of the loop. An infeasible one is refused when
+the run's own primal iterate becomes a Farkas ray for the LMI, a W >= 0
+with F0 . W > 0 that every F_i annihilates (F_i . W >= 0 for flagged y_i);
+no second solve is made. `feasibility_margin` stays as a public
+strict-feasibility oracle.
+
 At that size an iteration costs library-call overhead more than
 arithmetic, so each iteration takes one eigendecomposition and one
 inverse Cholesky factor of x and of z, which its Newton system and its
@@ -130,7 +136,9 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
     """Core predictor-corrector loop; returns (y, iters, pres, dres, gap, tag).
 
     y and the residuals are those of the best iterate seen; iters is the
-    number of iterations run.
+    number of iterations run. tag is "converged", "stall", "maxiter", or
+    the status of a decided end: STATUS_INFEASIBLE (x is a Farkas ray) or
+    STATUS_NUMERICAL_FAILURE.
     """
     m = len(fs)
     n0 = f0.shape[0]
@@ -174,7 +182,8 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
     noimp = 0
     restarts = 0
     for it in range(max_iter):
-        rp = b - avec @ x.ravel()
+        ax = avec @ x.ravel()
+        rp = b - ax
         rd = cmat - (y @ avec).reshape(n, n) - z
         mu = np.vdot(x, z) / n
         pres = np.linalg.norm(rp) / bn
@@ -189,6 +198,13 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
             noimp += 1
         if pres < feas_tol and dres < feas_tol and gap < gap_tol:
             tag = "converged"
+            break
+        # x is a Farkas ray when W = D x D, D = diag(deq), has F0 . W above
+        # feas_tol tr W while every F_i . W (less its flagged slack) is ~0
+        gain = -cscale * pobj
+        if (gain > feas_tol * (deq[:n0] ** 2 @ x.diagonal()[:n0])
+                and np.abs(s * ax).max() <= 1e-4 * gain):
+            tag = STATUS_INFEASIBLE
             break
         if noimp > 30:
             tag = "stall"
@@ -214,7 +230,7 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
                 except np.linalg.LinAlgError:
                     reg *= 100.0
             if mc is None:
-                tag = "numfail"
+                tag = STATUS_NUMERICAL_FAILURE
                 break
 
             def newton(sigmu, corr):
@@ -254,22 +270,27 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
                 z = z + delta * eye
                 restarts += 1
         except np.linalg.LinAlgError:
-            tag = "numfail"
+            tag = STATUS_NUMERICAL_FAILURE
             break
     else:
         it = max_iter
     # a break at loop index it comes after it iterations
     if best is None:
-        return y * cscale / s, it, np.inf, np.inf, np.inf, "numfail"
+        return y * cscale / s, it, np.inf, np.inf, np.inf, \
+            STATUS_NUMERICAL_FAILURE
     err, yb, pres, dres, gap = best
-    if pres < feas_tol and dres < feas_tol and gap < gap_tol:
-        tag = "converged"
     return yb * cscale / s, it, pres, dres, gap, tag
 
 
 def solve_sdp(problem, feas_tol=DEFAULT_FEAS_TOL, gap_tol=DEFAULT_GAP_TOL,
               max_iter=DEFAULT_MAX_ITER):
-    """Solve a LinearSdp; the reported slack is an independent eigenvalue audit."""
+    """Solve a LinearSdp; the reported slack is an independent eigenvalue audit.
+
+    One IPM run decides the status: `optimal` when it converges and the
+    audit passes, `infeasible` when its primal iterate is a Farkas ray for
+    the LMI, `numericalFailure` when its Newton system breaks down, and
+    `maxIterations` otherwise.
+    """
     if not (0 < feas_tol <= 1e-2 and 0 < gap_tol <= 1e-2):
         raise ValueError("tolerances must lie in (0, 1e-2]")
     if problem.nvars == 0:
@@ -283,17 +304,10 @@ def solve_sdp(problem, feas_tol=DEFAULT_FEAS_TOL, gap_tol=DEFAULT_GAP_TOL,
     obj = float(problem.objective @ y)
     if tag == "converged" and slack <= feas_tol:
         status = STATUS_OPTIMAL
-    elif tag == "numfail":
-        status = STATUS_NUMERICAL_FAILURE
+    elif tag in (STATUS_INFEASIBLE, STATUS_NUMERICAL_FAILURE):
+        status = tag
     else:
-        # distinguish an infeasible program from slow progress via the
-        # margin problem: no y gives the LMI any slack
-        t_star, _ = feasibility_margin(problem.f0, problem.fi, problem.nonneg,
-                                       feas_tol)
-        if t_star < -feas_tol:
-            status = STATUS_INFEASIBLE
-        else:
-            status = STATUS_MAX_ITERATIONS
+        status = STATUS_MAX_ITERATIONS
     return SdpSolution(status, y, obj, slack, iters, pres, dres, gap)
 
 

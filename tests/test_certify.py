@@ -82,13 +82,19 @@ def test_residual_rate_free_lambda():
 STALLED_POINTS = [(0.5413183669370272, 1.5), (0.05860511487667399, None)]
 
 
-@pytest.mark.parametrize("alpha, lam", STALLED_POINTS)
-def test_residual_rate_refuses_non_optimal_solves(alpha, lam):
-    # cut at 3 iterations, both solves stop at maxIterations: no certificate
-    # may come from them
+# a cut of 3 keeps the plain point ids, so results stay comparable by id
+CUT_SOLVES = [pytest.param(alpha, lam, cut, id=f"{alpha}-{lam}" if cut == 3
+                           else f"{alpha}-{lam}-{cut}")
+              for cut in (3, 1) for alpha, lam in STALLED_POINTS + [(1.0, 1.0)]]
+
+
+@pytest.mark.parametrize("alpha, lam, max_iter", CUT_SOLVES)
+def test_residual_rate_refuses_non_optimal_solves(alpha, lam, max_iter):
+    # every cut solve stops at maxIterations, at a cut of 1 with theta = 0:
+    # no certificate may come from them, and they are not called infeasible
     with pytest.raises(CertificationError, match="ended maxIterations"):
         certify_residual_rate(alpha, lam, certify._case1_classes(1.0),
-                              max_iter=3)
+                              max_iter=max_iter)
 
 
 @pytest.mark.parametrize("alpha, lam", STALLED_POINTS)
@@ -210,6 +216,29 @@ def test_linear_rate_degenerate_class():
     assert cert.margin <= 1e-8
     dual = dual_linear_rate(0.02, cert.lam, STRONG_F_EQUAL)
     assert abs(cert.rho2 - dual) <= 1e-6
+
+
+# criterion 5's sets a, d and f at stepsizes of its sweep where the pinned
+# program, at the joint optimum's lam, has no interior and no Farkas ray
+PINNED_WITHOUT_INTERIOR = [
+    (0.01333521432163324, _cls(1.0, 100.0 / 7.0, 4.0, 50.0, 0.0, 1.0 / 9.0)),
+    (0.01778279410038923, _cls(1.0, 100.0 / 7.0, 4.0, 50.0, 0.0, 1.0 / 9.0)),
+    (0.0031622776601683794, _cls(0.0, math.inf, 1.0, 10.0, 0.0, 20.0)),
+    (0.004, _cls(0.0, 50.0, 0.0, math.inf, 2.0, 30.0)),
+]
+
+
+@pytest.mark.parametrize("alpha, classes", PINNED_WITHOUT_INTERIOR,
+                         ids=["a-0.013335", "a-0.017783", "d-0.0031623",
+                              "f-0.004"])
+def test_pinned_linear_rate_issues_at_the_joint_lambda(alpha, classes):
+    # the joint optimum is feasible for the pinned program, so the pinned
+    # request is not refused and agrees with the dual
+    joint = certify_linear_rate(alpha, classes)
+    pinned = certify_linear_rate(alpha, classes, lam=joint.lam)
+    dual = dual_linear_rate(alpha, joint.lam, classes)
+    assert abs(pinned.rho2 - dual) <= 1e-6
+    assert pinned.margin <= 1e-9
 
 
 def test_linear_rate_infeasible_stepsize():

@@ -54,6 +54,19 @@ def test_infeasible_detection():
     assert sol.status == STATUS_INFEASIBLE
 
 
+def test_refusal_is_one_solve(monkeypatch):
+    # solve_sdp refuses from the Farkas ray of its own run, never from a
+    # second feasibility_margin solve
+    def second_solve(*args, **kwargs):
+        raise AssertionError("solve_sdp called feasibility_margin")
+
+    monkeypatch.setattr(sdpcore, "feasibility_margin", second_solve)
+    test_infeasible_detection()
+    alpha = np.geomspace(0.05, 5.0, 30)[-2]
+    with pytest.raises(certify.CertificationError, match="ended infeasible"):
+        certify.certify_objective_rate(alpha, 3.0, 3.0)
+
+
 def test_certificate_margin_tracks_theta():
     # below the closed-form optimal rate the margin sits at zero (there are
     # always neutral directions); above it the margin goes clearly negative
