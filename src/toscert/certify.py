@@ -387,7 +387,11 @@ def certify_linear_rate(alpha, classes, lam=None,
                         feas_tol=sdpcore.DEFAULT_FEAS_TOL,
                         gap_tol=sdpcore.DEFAULT_GAP_TOL,
                         max_iter=sdpcore.DEFAULT_MAX_ITER):
-    """Linear-rate certificate rho2 < 1, jointly over lam unless pinned."""
+    """Linear-rate certificate rho2 < 1, jointly over lam unless pinned.
+
+    Refused when the program is infeasible, when rho2 >= 1, or when the
+    audit margin of the rebuilt LMI exceeds feas_tol.
+    """
     if lam is not None and not lam > 0:
         raise CertificationError("lam must be positive")
     rho2, lam_out, sigma, status = linear_rate_value(
@@ -397,6 +401,11 @@ def certify_linear_rate(alpha, classes, lam=None,
     if not rho2 < 1.0:
         raise CertificationError("no linear certificate at this alpha")
     margin = audit_linear(alpha, lam_out, rho2, sigma, classes)
+    # a solve cut short may stop at a rate its multipliers do not prove
+    if margin > feas_tol:
+        raise CertificationError(
+            f"linear-rate program ended {status} and its LMI fails the audit"
+            f" by {margin:.3g}")
     return RateCertificate(
         mode=MODE_LINEAR, alpha=alpha, lam=lam_out, sigma=sigma,
         margin=margin, provenance="sdp", rho2=rho2)

@@ -10,9 +10,11 @@ most a handful of variables, so a bespoke dense method is plenty.
 
 Every program takes one run of the loop. An infeasible one is refused when
 the run's own primal iterate becomes a Farkas ray for the LMI, a W >= 0
-with F0 . W > 0 that every F_i annihilates (F_i . W >= 0 for flagged y_i);
-no second solve is made. `feasibility_margin` stays as a public
-strict-feasibility oracle.
+with F0 . W > 0 beside which every F_i . W is small (F_i . W >= 0 for
+flagged y_i); no second solve is made. "Small" is 1e-4 in the equilibrated
+units of the IPM, so the ray proves that no y whose equilibrated image has
+1-norm below 1e4 is feasible, whatever the scale of the data.
+`feasibility_margin` stays as a public strict-feasibility oracle.
 
 At that size an iteration costs library-call overhead more than
 arithmetic, so each iteration takes one eigendecomposition and one
@@ -200,10 +202,10 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
             tag = "converged"
             break
         # x is a Farkas ray when W = D x D, D = diag(deq), has F0 . W above
-        # feas_tol tr W while every F_i . W (less its flagged slack) is ~0
-        gain = -cscale * pobj
-        if (gain > feas_tol * (deq[:n0] ** 2 @ x.diagonal()[:n0])
-                and np.abs(s * ax).max() <= 1e-4 * gain):
+        # feas_tol tr W while every scaled A_i . x is ~0 beside -C . x: no
+        # scaled y with |y|_1 < 1e4 is then feasible
+        if (-cscale * pobj > feas_tol * (deq[:n0] ** 2 @ x.diagonal()[:n0])
+                and np.abs(ax).max() <= 1e-4 * -pobj):
             tag = STATUS_INFEASIBLE
             break
         if noimp > 30:
@@ -289,7 +291,8 @@ def solve_sdp(problem, feas_tol=DEFAULT_FEAS_TOL, gap_tol=DEFAULT_GAP_TOL,
     One IPM run decides the status: `optimal` when it converges and the
     audit passes, `infeasible` when its primal iterate is a Farkas ray for
     the LMI, `numericalFailure` when its Newton system breaks down, and
-    `maxIterations` otherwise.
+    `maxIterations` otherwise. The ray bounds y in the IPM's equilibrated
+    units only (see the module docstring).
     """
     if not (0 < feas_tol <= 1e-2 and 0 < gap_tol <= 1e-2):
         raise ValueError("tolerances must lie in (0, 1e-2]")

@@ -24,9 +24,8 @@ def test_tracer_install_and_restore():
                    if value is not before[key]}
     finally:
         tracer.restore()
-    assert {"solve_sdp", "feasibility_margin", "max_eig", "build_w2",
-            "certify_linear_rate", "run", "to_csv",
-            "assemble_oracles"} <= {n for _, n in patched}
+    assert {"solve_sdp", "max_eig", "build_w2", "certify_linear_rate",
+            "run", "to_csv", "assemble_oracles"} <= {n for _, n in patched}
     after = _attributes()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())

@@ -45,6 +45,14 @@ def test_feasibility_margin_examples():
     assert abs(t + 1.0) < 1e-7
 
 
+@pytest.mark.parametrize("a", [2e4, 1e6])
+def test_feasibility_margin_of_large_data(a):
+    # the margin program is always feasible, so its run must not end on a
+    # Farkas ray however large the data: t* = -a certifies infeasibility
+    t, _ = feasibility_margin(np.array([[a]]), [], [])
+    assert abs(t + a) <= 1e-7 * a
+
+
 def test_infeasible_detection():
     # y >= 0 cannot make diag(1, -y) NSD in its first entry
     prob = LinearSdp(np.array([1.0]),
