@@ -55,19 +55,23 @@ def _grid(spec):
     return np.linspace(start, stop, points)
 
 
+def _load_request(args):
+    """Document, classes and mode of a certify or sweep call, all checked."""
+    doc = _load_input(args.input)
+    mode = args.mode or doc.get("mode")
+    if mode not in certify.SENTINEL_RATE:
+        raise ValueError(f"unknown mode {mode}")
+    sdpcore.check_options(args.tol_feas, args.tol_gap, args.max_iter)
+    return doc, _classes_from_doc(doc), mode
+
+
 def cmd_certify(args):
     try:
-        doc = _load_input(args.input)
-        classes = _classes_from_doc(doc)
-        mode = args.mode or doc.get("mode")
+        doc, classes, mode = _load_request(args)
         alpha = args.alpha if args.alpha is not None else doc.get("alpha")
         lam = args.lam if args.lam is not None else doc.get("lambda")
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         return _fail(EXIT_BAD_INPUT, "badInput", str(exc), args.out)
-    if mode not in (certify.MODE_LINEAR, certify.MODE_RESIDUAL,
-                    certify.MODE_OBJECTIVE):
-        return _fail(EXIT_BAD_INPUT, "badInput", f"unknown mode {mode}",
-                     args.out)
     try:
         cert = certify.certify_rate(
             mode, alpha, classes, lam, feas_tol=args.tol_feas,
@@ -85,9 +89,7 @@ def cmd_certify(args):
 
 def cmd_sweep(args):
     try:
-        doc = _load_input(args.input)
-        classes = _classes_from_doc(doc)
-        mode = args.mode or doc.get("mode")
+        doc, classes, mode = _load_request(args)
         grid = _grid(args.grid) if args.grid else np.asarray(doc["grid"])
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         return _fail(EXIT_BAD_INPUT, "badInput", str(exc), args.out)
@@ -144,8 +146,12 @@ def cmd_run(args):
 
 
 def cmd_demo_lqr(args):
-    lambdas = [float(v) for v in args.lambdas.split(",")]
-    inst = lqrdemo.build_instance(args.seed, args.n, args.m, args.horizon)
+    try:
+        lambdas = [float(v) for v in args.lambdas.split(",")]
+        lqrdemo.check_lambdas(lambdas)
+        inst = lqrdemo.build_instance(args.seed, args.n, args.m, args.horizon)
+    except ValueError as exc:
+        return _fail(EXIT_BAD_INPUT, "badInput", str(exc))  # --out is a dir
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     results = lqrdemo.run_sweep(inst, lambdas, args.iters, out_dir=out_dir)

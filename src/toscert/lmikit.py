@@ -1,9 +1,11 @@
-"""Matrix builders and eigenvalue utilities for rate certification.
+"""Matrix builders and the audit eigenvalue for rate certification.
 
 Everything here is a small dense symmetric matrix: the quadratic-constraint
 blocks Q(m, L), their 4x4 sandwiched versions Q1..Q3, the Lyapunov difference
 matrices W0/W1/W2, the Schur-complement extension, and the data of the dual
 rate program. All builders are pure functions of their arguments.
+`max_eig`, LAPACK's top eigenvalue, is the audit margin of every
+certificate.
 """
 
 import math
@@ -174,46 +176,8 @@ def build_dual_data(lam):
 
 
 def max_eig(m):
-    """Largest eigenvalue of a symmetric matrix by cyclic Jacobi rotations.
-
-    Deterministic and independent of LAPACK; intended for n <= 16. Runs at
-    most 50 sweeps, stopping once every off-diagonal entry is below
-    1e-14 * frobenius_norm(m).
-    """
-    a = sym_check(m).copy()
-    n = a.shape[0]
-    if n > 16:
-        raise ValueError("max_eig supports n <= 16")
-    if n == 1:
-        return float(a[0, 0])
-    thr = 1e-14 * np.linalg.norm(a)
-    if thr == 0.0:
-        return 0.0
-    for _ in range(50):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= thr:
-                    continue
-                off = max(off, abs(apq))
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-        if off <= thr:
-            break
-    return float(np.max(np.diag(a)))
+    """Largest eigenvalue of a symmetric matrix (LAPACK's eigvalsh)."""
+    return float(np.linalg.eigvalsh(sym_check(m))[-1])
 
 
 def kron_identity(base, d):
@@ -223,6 +187,4 @@ def kron_identity(base, d):
         raise ValueError("d must be >= 1")
     if base.shape[0] * d > KRON_DIM_CAP:
         raise ValueError("requested dimension exceeds cap")
-    if d == 1:
-        return base.copy()
     return np.kron(base, np.eye(d))

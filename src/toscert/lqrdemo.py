@@ -175,11 +175,15 @@ def assemble_oracles(inst):
     return oracle, layout, l_h
 
 
+def check_lambdas(lambdas):
+    """Reject a sweep whose lambdas do not all lie in (0, 2)."""
+    if not all(0 < lam < 2 for lam in lambdas):
+        raise ValueError("every lambda must lie in (0, 2)")
+
+
 def run_sweep(inst, lambdas, iter_budget, out_dir=None):
     """One run per lambda at alpha = (2 - lambda)/L_h; optional CSV export."""
-    for lam in lambdas:
-        if not 0 < lam < 2:
-            raise ValueError("every lambda must lie in (0, 2)")
+    check_lambdas(lambdas)
     oracle, layout, l_h = assemble_oracles(inst)
     z0 = np.zeros(layout.dim)
     results = []

@@ -277,11 +277,16 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
     else:
         it = max_iter
     # a break at loop index it comes after it iterations
-    if best is None:
-        return y * cscale / s, it, np.inf, np.inf, np.inf, \
-            STATUS_NUMERICAL_FAILURE
     err, yb, pres, dres, gap = best
     return yb * cscale / s, it, pres, dres, gap, tag
+
+
+def check_options(feas_tol, gap_tol, max_iter):
+    """Reject tolerances outside (0, 1e-2] and max_iter below 1."""
+    if not (0 < feas_tol <= 1e-2 and 0 < gap_tol <= 1e-2):
+        raise ValueError("tolerances must lie in (0, 1e-2]")
+    if not max_iter >= 1:
+        raise ValueError("max_iter must be at least 1")
 
 
 def solve_sdp(problem, feas_tol=DEFAULT_FEAS_TOL, gap_tol=DEFAULT_GAP_TOL,
@@ -294,8 +299,7 @@ def solve_sdp(problem, feas_tol=DEFAULT_FEAS_TOL, gap_tol=DEFAULT_GAP_TOL,
     `maxIterations` otherwise. The ray bounds y in the IPM's equilibrated
     units only (see the module docstring).
     """
-    if not (0 < feas_tol <= 1e-2 and 0 < gap_tol <= 1e-2):
-        raise ValueError("tolerances must lie in (0, 1e-2]")
+    check_options(feas_tol, gap_tol, max_iter)
     if problem.nvars == 0:
         slack = _audit_slack(problem.f0, (), np.zeros(0))
         status = STATUS_OPTIMAL if slack <= feas_tol else STATUS_INFEASIBLE
@@ -318,9 +322,7 @@ def _audit_slack(f0, fi, y):
     m = f0.copy()
     for yi, a in zip(y, fi):
         m = m + yi * a
-    if m.shape[0] <= 16:
-        return max_eig(m)
-    return float(np.linalg.eigvalsh(m).max())
+    return max_eig(m)
 
 
 def feasibility_margin(f0, fi, nonneg, feas_tol=DEFAULT_FEAS_TOL,
@@ -330,6 +332,7 @@ def feasibility_margin(f0, fi, nonneg, feas_tol=DEFAULT_FEAS_TOL,
     Returns (t_star, y). A positive t_star certifies strict feasibility and
     t_star < -feas_tol certifies infeasibility of the LMI.
     """
+    check_options(feas_tol, gap_tol, max_iter)
     f0 = sym_check(f0)
     fi = [sym_check(m) for m in fi]
     n = f0.shape[0]

@@ -75,7 +75,7 @@ def test_criterion_04_kronecker_reduction():
         n = int(rng.integers(4, 6))
         base = rng.standard_normal((n, n))
         base = 0.5 * (base + base.T)
-        lam_small = max_eig(base)          # rotation-based, on the base
+        lam_small = max_eig(base)          # on the base
         for d in (1, 2, 3):
             big = kron_identity(base, d)
             lam_big = float(np.linalg.eigvalsh(big).max())  # LAPACK, expanded

@@ -94,7 +94,7 @@ def test_certify_residual_meets_closed_form(tmp_path):
     assert abs(cert.theta - 0.5) <= 1e-9
 
 
-def test_certify_bad_input_exit_code(tmp_path):
+def test_certify_bad_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["certify", str(bad)]) == cli.EXIT_BAD_INPUT
@@ -103,6 +103,24 @@ def test_certify_bad_input_exit_code(tmp_path):
     unknown = _write(tmp_path / "unknown.json",
                      dict(LINEAR_DOC, mode="noSuchMode"))
     assert cli.main(["certify", unknown]) == cli.EXIT_BAD_INPUT
+    _assert_bad_options("certify", _write(tmp_path / "in.json", LINEAR_DOC),
+                        capsys)
+
+
+_BAD_OPTIONS = (["--tol-feas", "1"], ["--tol-gap", "0"], ["--max-iter", "0"],
+                ["--mode", "bogus"])
+
+
+def _assert_bad_options(command, inp, capsys):
+    for opts in _BAD_OPTIONS:
+        capsys.readouterr()
+        assert cli.main([command, inp, *opts]) == cli.EXIT_BAD_INPUT, opts
+        assert json.loads(capsys.readouterr().err)["error"] == "badInput"
+
+
+def test_sweep_bad_input_exit_code(tmp_path, capsys):
+    doc = dict(LINEAR_DOC, grid=[0.1, 0.2])
+    _assert_bad_options("sweep", _write(tmp_path / "in.json", doc), capsys)
 
 
 def test_certify_flag_overrides_document(tmp_path):
@@ -164,6 +182,16 @@ def test_demo_lqr_outputs(tmp_path, capsys):
     assert code == cli.EXIT_OK
     assert (tmp_path / "summary.json").exists()
     assert "best lambda" in capsys.readouterr().out
+
+
+def test_demo_lqr_bad_input_exit_code(tmp_path, capsys):
+    for opts in (["--lambdas", "2.5"], ["--lambdas", "x"], ["--n", "0"]):
+        capsys.readouterr()
+        code = cli.main(["demo-lqr", "--out", str(tmp_path), *opts])
+        assert code == cli.EXIT_BAD_INPUT, opts
+        assert json.loads(capsys.readouterr().err)["error"] == "badInput"
+    # --out names the output directory: the error is not written there
+    assert not any(tmp_path.iterdir())
 
 
 def test_deterministic_certificate_bytes(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the quadratic-constraint and LMI building blocks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from toscert.lmikit import (KRON_DIM_CAP, RegularityClass, build_dual_data,
                             build_qc_triplet, build_w0, build_w1, build_w2,
                             eta_vector, kron_identity, max_eig, qc_base,
                             schur_extend, sym_check)
+from test_sdpcore import _exact_pd
 
 
 def test_regularity_class_validation():
@@ -155,18 +157,40 @@ def test_build_dual_data_map_invertible():
     assert np.allclose(w_i, w_i.T)
 
 
-def test_max_eig_matches_lapack():
+def _set_a_certificate():
+    """The linear-rate LMI of parameter set a at alpha = 0.01778 (joint)."""
+    alpha, lam, rho2 = (0.01778279410038923, 3.3246616748084916,
+                        0.5322128625118555)
+    sigma = (304.36643075071737, 295.9439869675593, 383.0948893179348)
+    f, g, h = (RegularityClass(1.0, 100 / 7), RegularityClass(4.0, 50.0),
+               RegularityClass(0.0, 1 / 9))
+    w_o, w_i, _ = build_dual_data(lam)
+    m = w_o - rho2 * w_i
+    for s, q in zip(sigma, build_qc_triplet(alpha, f, g, h)):
+        m = m + s * q
+    return m
+
+
+def _exact_shift(m, t):
+    """t I - m in exact rational arithmetic."""
+    return [[t * (i == j) - Fraction(v) for j, v in enumerate(row)]
+            for i, row in enumerate(m.tolist())]
+
+
+def test_max_eig_is_bracketed_exactly():
+    # t I - M is PD iff t exceeds the top eigenvalue, so the two exact LDL^T
+    # tests put it in [top - eps, top + eps) for eps = 2 n eps_mach |M|_F
     rng = np.random.default_rng(11)
+    mats = [_set_a_certificate()]
     for n in (1, 2, 5, 9, 16):
-        for _ in range(10):
+        for _ in range(2):
             a = rng.standard_normal((n, n))
-            a = 0.5 * (a + a.T)
-            assert abs(max_eig(a) - np.linalg.eigvalsh(a).max()) < 1e-11
-
-
-def test_max_eig_rejects_large_matrices():
-    with pytest.raises(ValueError):
-        max_eig(np.zeros((17, 17)))
+            mats.append(0.5 * (a + a.T))
+    for m in mats:
+        top = Fraction(max_eig(m))
+        eps = Fraction(2 * len(m) * np.finfo(float).eps * np.linalg.norm(m))
+        assert _exact_pd(_exact_shift(m, top + eps))
+        assert not _exact_pd(_exact_shift(m, top - eps))
 
 
 @settings(deadline=None, max_examples=50)

@@ -139,6 +139,12 @@ def test_tolerance_validation():
         solve_sdp(prob, feas_tol=0.0)
     with pytest.raises(ValueError):
         solve_sdp(prob, gap_tol=1.0)
+    with pytest.raises(ValueError):
+        solve_sdp(prob, max_iter=0)
+    with pytest.raises(ValueError):
+        feasibility_margin(np.array([[1.0]]), [], [], max_iter=0)
+    with pytest.raises(ValueError):
+        feasibility_margin(np.array([[1.0]]), [], [], feas_tol=5.0)
 
 
 def test_iterations_counts_the_iterations_run():
