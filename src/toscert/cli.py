@@ -33,84 +33,22 @@ def _decode_l(v):
 
 
 def _classes_from_doc(doc):
-    out = {}
-    for name in ("f", "g", "h"):
-        spec = doc[name]
-        out[name] = RegularityClass(float(spec.get("m", 0.0)),
-                                    _decode_l(spec.get("L", "inf")))
-    return certify.ProblemClasses(out["f"], out["g"], out["h"])
-
-
-def _load_input(path):
-    with open(path) as fh:
-        return json.load(fh)
+    specs = [doc[name] for name in ("f", "g", "h")]
+    if not all(isinstance(spec, dict) for spec in specs):
+        raise ValueError("f, g and h must be JSON objects")
+    return certify.ProblemClasses(*(
+        RegularityClass(float(spec.get("m", 0.0)),
+                        _decode_l(spec.get("L", "inf"))) for spec in specs))
 
 
 def _grid(spec):
-    start, stop, points = spec.split(":")[:3]
-    scale = spec.split(":")[3] if spec.count(":") >= 3 else "log"
-    start, stop, points = float(start), float(stop), int(points)
-    if scale == "log":
-        return np.geomspace(start, stop, points)
-    return np.linspace(start, stop, points)
-
-
-def _load_request(args):
-    """Document, classes and mode of a certify or sweep call, all checked."""
-    doc = _load_input(args.input)
-    mode = args.mode or doc.get("mode")
-    if mode not in certify.SENTINEL_RATE:
-        raise ValueError(f"unknown mode {mode}")
-    sdpcore.check_options(args.tol_feas, args.tol_gap, args.max_iter)
-    return doc, _classes_from_doc(doc), mode
-
-
-def cmd_certify(args):
-    try:
-        doc, classes, mode = _load_request(args)
-        alpha = args.alpha if args.alpha is not None else doc.get("alpha")
-        lam = args.lam if args.lam is not None else doc.get("lambda")
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_BAD_INPUT, "badInput", str(exc), args.out)
-    try:
-        cert = certify.certify_rate(
-            mode, alpha, classes, lam, feas_tol=args.tol_feas,
-            gap_tol=args.tol_gap, max_iter=args.max_iter)
-    except certify.CertificationError as exc:
-        return _fail(EXIT_INFEASIBLE, "infeasible", str(exc), args.out)
-    text = certify.certificate_to_json(cert)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return EXIT_OK
-
-
-def cmd_sweep(args):
-    try:
-        doc, classes, mode = _load_request(args)
-        grid = _grid(args.grid) if args.grid else np.asarray(doc["grid"])
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_BAD_INPUT, "badInput", str(exc), args.out)
-    try:
-        curve, best = certify.sweep_alpha(
-            grid, classes, mode, lam=args.lam, feas_tol=args.tol_feas,
-            gap_tol=args.tol_gap, max_iter=args.max_iter)
-    except certify.CertificationError as exc:
-        return _fail(EXIT_INFEASIBLE, "infeasible", str(exc), args.out)
-    lines = ["alpha,rate,lambda,feasible"]
-    for rec in curve:
-        lam = "" if rec["lambda"] is None else rec["lambda"]
-        lines.append(f"{rec['alpha']},{rec['rate']},{lam},{int(rec['feasible'])}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    print(f"best alpha {best[0]} rate {best[1]}", file=sys.stderr)
-    return EXIT_OK
+    """The stepsizes of start:stop:points[:log|lin], log-spaced by default."""
+    parts = spec.split(":")
+    if len(parts) not in (3, 4) or parts[3:] not in ([], ["log"], ["lin"]):
+        raise ValueError(f"grid {spec!r} is not start:stop:points[:log|lin]")
+    start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
+    space = np.linspace if parts[3:] == ["lin"] else np.geomspace
+    return space(start, stop, points)
 
 
 _PROX_SPECS = {
@@ -122,33 +60,98 @@ _PROX_SPECS = {
                                              d.get("linear")),
 }
 
+# what a malformed document or option raises while it is loaded
+_BAD_INPUT = (OSError, KeyError, TypeError, ValueError)
+
+
+def _load_request(args):
+    """Complete the options of a certify, sweep or run call from its document.
+
+    Each command's parser holds only the options it reads, and only those
+    are checked. alpha and lambda come from the flag, else the document, as
+    floats. certify and sweep get their mode, solver tolerances and problem
+    classes, sweep its stepsizes, run its splitting oracle and settings.
+    Raises one of _BAD_INPUT.
+    """
+    with open(args.input) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("the input must be a JSON object")
+    if "alpha" in args and args.alpha is None:
+        args.alpha = float(doc["alpha"])
+    if args.lam is None and doc.get("lambda") is not None:
+        args.lam = float(doc["lambda"])
+    if args.command == "run":
+        if args.lam is None:
+            raise KeyError("lambda")
+        f, g = (_PROX_SPECS[doc[k]["type"]](doc[k]) for k in "fg")
+        e = np.asarray(doc["h"]["matrix"], dtype=float)
+        args.oracle = tos.OperatorOracle(
+            prox_f=f, prox_g=g, grad_h=lambda x: tos.grad_eval(e, x))
+        args.z0 = np.asarray(doc["z0"], dtype=float)
+        args.config = tos.TosConfig(
+            alpha=args.alpha, lam=args.lam,
+            max_iter=int(doc.get("max_iter", 1000)),
+            residual_tol=float(doc.get("residual_tol", 0.0)))
+        return
+    args.mode = args.mode or doc.get("mode")
+    if args.mode not in certify.SENTINEL_RATE:
+        raise ValueError(f"unknown mode {args.mode}")
+    sdpcore.check_options(args.tol_feas, args.tol_gap, args.max_iter)
+    args.classes = _classes_from_doc(doc)
+    if args.command == "sweep":
+        args.grid = (_grid(args.grid) if args.grid
+                     else np.asarray(doc["grid"], dtype=float))
+        if args.grid.ndim != 1 or not args.grid.size:
+            raise ValueError("the alpha grid needs at least one point")
+
+
+def _write(text, out):
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def cmd_certify(args):
+    try:
+        cert = certify.certify_rate(
+            args.mode, args.alpha, args.classes, args.lam,
+            feas_tol=args.tol_feas, gap_tol=args.tol_gap,
+            max_iter=args.max_iter)
+    except certify.CertificationError as exc:
+        return _fail(EXIT_INFEASIBLE, "infeasible", str(exc), args.out)
+    _write(certify.certificate_to_json(cert) + "\n", args.out)
+    return EXIT_OK
+
+
+def cmd_sweep(args):
+    try:
+        curve, best = certify.sweep_alpha(
+            args.grid, args.classes, args.mode, lam=args.lam,
+            feas_tol=args.tol_feas, gap_tol=args.tol_gap,
+            max_iter=args.max_iter)
+    except certify.CertificationError as exc:
+        return _fail(EXIT_INFEASIBLE, "infeasible", str(exc), args.out)
+    lines = ["alpha,rate,lambda,feasible"]
+    for rec in curve:
+        lam = "" if rec["lambda"] is None else rec["lambda"]
+        lines.append(f"{rec['alpha']},{rec['rate']},{lam},{int(rec['feasible'])}")
+    _write("\n".join(lines) + "\n", args.out)
+    print(f"best alpha {best[0]} rate {best[1]}", file=sys.stderr)
+    return EXIT_OK
+
 
 def cmd_run(args):
-    try:
-        doc = _load_input(args.input)
-        prox_f = _PROX_SPECS[doc["f"]["type"]](doc["f"])
-        prox_g = _PROX_SPECS[doc["g"]["type"]](doc["g"])
-        e = np.asarray(doc["h"]["matrix"], dtype=float)
-        z0 = np.asarray(doc["z0"], dtype=float)
-        alpha = args.alpha if args.alpha is not None else doc["alpha"]
-        lam = args.lam if args.lam is not None else doc["lambda"]
-        config = tos.TosConfig(alpha=alpha, lam=lam,
-                               max_iter=int(doc.get("max_iter", 1000)),
-                               residual_tol=float(doc.get("residual_tol", 0.0)))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_BAD_INPUT, "badInput", str(exc), args.out)
-    oracle = tos.OperatorOracle(
-        prox_f=prox_f, prox_g=prox_g, grad_h=lambda x: tos.grad_eval(e, x))
-    trace = tos.run(oracle, z0, config)
-    out = args.out or "trace.csv"
-    trace.to_csv(out)
+    tos.run(args.oracle, args.z0, args.config).to_csv(args.out or "trace.csv")
     return EXIT_OK
 
 
 def cmd_demo_lqr(args):
     try:
         lambdas = [float(v) for v in args.lambdas.split(",")]
-        lqrdemo.check_lambdas(lambdas)
+        lqrdemo.check_sweep(lambdas, args.iters)
         inst = lqrdemo.build_instance(args.seed, args.n, args.m, args.horizon)
     except ValueError as exc:
         return _fail(EXIT_BAD_INPUT, "badInput", str(exc))  # --out is a dir
@@ -183,51 +186,54 @@ def cmd_selftest(args):
     return EXIT_OK if not failures else 1
 
 
+_COMMANDS = {"certify": cmd_certify, "sweep": cmd_sweep, "run": cmd_run,
+            "demo-lqr": cmd_demo_lqr, "selftest": cmd_selftest}
+
+
 def build_parser():
+    """One subparser a command, holding only the options that command reads."""
     p = argparse.ArgumentParser(prog="toscert")
     sub = p.add_subparsers(dest="command")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode")
-    common.add_argument("--alpha", type=float)
-    common.add_argument("--lambda", dest="lam", type=float)
-    common.add_argument("--grid")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out")
-    common.add_argument("--tol-feas", type=float,
+    # no abbreviations: demo-lqr --lambda must not pass for --lambdas
+    pc, ps, pr, pd, _ = (sub.add_parser(name, allow_abbrev=False)
+                         for name in _COMMANDS)
+    for sp in (pc, ps, pr):
+        sp.add_argument("input")
+        sp.add_argument("--lambda", dest="lam", type=float)
+    for sp in (pc, pr):
+        sp.add_argument("--alpha", type=float)
+    for sp in (pc, ps):
+        sp.add_argument("--mode")
+        sp.add_argument("--tol-feas", type=float,
                         default=sdpcore.DEFAULT_FEAS_TOL)
-    common.add_argument("--tol-gap", type=float,
+        sp.add_argument("--tol-gap", type=float,
                         default=sdpcore.DEFAULT_GAP_TOL)
-    common.add_argument("--max-iter", type=int,
+        sp.add_argument("--max-iter", type=int,
                         default=sdpcore.DEFAULT_MAX_ITER)
-
-    pc = sub.add_parser("certify", parents=[common])
-    pc.add_argument("input")
-    pc.set_defaults(func=cmd_certify)
-    ps = sub.add_parser("sweep", parents=[common])
-    ps.add_argument("input")
-    ps.set_defaults(func=cmd_sweep)
-    pr = sub.add_parser("run", parents=[common])
-    pr.add_argument("input")
-    pr.set_defaults(func=cmd_run)
-    pd = sub.add_parser("demo-lqr", parents=[common])
+    ps.add_argument("--grid")
+    for sp in (pc, ps, pr, pd):
+        sp.add_argument("--out")
     pd.add_argument("--lambdas", default="0.25,0.5,1,1.5")
     pd.add_argument("--n", type=int, default=20)
     pd.add_argument("--m", type=int, default=5)
     pd.add_argument("--horizon", type=int, default=20)
     pd.add_argument("--iters", type=int, default=2000)
-    pd.set_defaults(func=cmd_demo_lqr)
-    pt = sub.add_parser("selftest", parents=[common])
-    pt.set_defaults(func=cmd_selftest)
+    pd.add_argument("--seed", type=int, default=0)
     return p
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
+    if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    if "input" in args:
+        try:
+            _load_request(args)
+        except _BAD_INPUT as exc:
+            return _fail(EXIT_BAD_INPUT, "badInput", str(exc), args.out)
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

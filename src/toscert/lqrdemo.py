@@ -175,15 +175,18 @@ def assemble_oracles(inst):
     return oracle, layout, l_h
 
 
-def check_lambdas(lambdas):
-    """Reject a sweep whose lambdas do not all lie in (0, 2)."""
+def check_sweep(lambdas, iter_budget):
+    """Reject a sweep whose lambdas do not all lie in (0, 2) or whose runs
+    would take no step."""
     if not all(0 < lam < 2 for lam in lambdas):
         raise ValueError("every lambda must lie in (0, 2)")
+    if not iter_budget >= 1:
+        raise ValueError("the iteration budget must be at least 1")
 
 
 def run_sweep(inst, lambdas, iter_budget, out_dir=None):
     """One run per lambda at alpha = (2 - lambda)/L_h; optional CSV export."""
-    check_lambdas(lambdas)
+    check_sweep(lambdas, iter_budget)
     oracle, layout, l_h = assemble_oracles(inst)
     z0 = np.zeros(layout.dim)
     results = []

@@ -14,7 +14,8 @@ with F0 . W > 0 beside which every F_i . W is small (F_i . W >= 0 for
 flagged y_i); no second solve is made. "Small" is 1e-4 in the equilibrated
 units of the IPM, so the ray proves that no y whose equilibrated image has
 1-norm below 1e4 is feasible, whatever the scale of the data.
-`feasibility_margin` stays as a public strict-feasibility oracle.
+`feasibility_margin` stays as a public strict-feasibility oracle: it hands
+`solve_sdp` the program with one more variable t, so `_ipm` has one caller.
 
 At that size an iteration costs library-call overhead more than
 arithmetic, so each iteration takes one eigendecomposition and one
@@ -224,16 +225,7 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
             mmat = avec @ zax.T
             mmat = 0.5 * (mmat + mmat.T)
             reg = 1e-13 * max(np.trace(mmat) / m, 1.0)
-            mc = None
-            for _ in range(8):
-                try:
-                    mc = _cho_factor(mmat + reg * np.eye(m))
-                    break
-                except np.linalg.LinAlgError:
-                    reg *= 100.0
-            if mc is None:
-                tag = STATUS_NUMERICAL_FAILURE
-                break
+            mc = _cho_factor(mmat + reg * np.eye(m))
 
             def newton(sigmu, corr):
                 base = sigmu * zi - x - zi @ (rd @ x + corr)
@@ -332,17 +324,13 @@ def feasibility_margin(f0, fi, nonneg, feas_tol=DEFAULT_FEAS_TOL,
     Returns (t_star, y). A positive t_star certifies strict feasibility and
     t_star < -feas_tol certifies infeasibility of the LMI.
     """
-    check_options(feas_tol, gap_tol, max_iter)
-    f0 = sym_check(f0)
-    fi = [sym_check(m) for m in fi]
-    n = f0.shape[0]
-    fs = list(fi) + [np.eye(n)]
-    c = np.zeros(len(fs))
+    n = np.shape(f0)[0]
+    c = np.zeros(len(fi) + 1)
     c[-1] = -1.0
-    nn = list(nonneg) + [False]
-    y, iters, pres, dres, gap, tag = _ipm(c, f0, fs, nn, feas_tol, gap_tol,
-                                          max_iter)
-    return float(y[-1]), y[:-1]
+    sol = solve_sdp(LinearSdp(c, f0, tuple(fi) + (np.eye(n),),
+                              tuple(nonneg) + (False,)),
+                    feas_tol, gap_tol, max_iter)
+    return float(sol.y[-1]), sol.y[:-1]
 
 
 def analytic_instances():

@@ -123,6 +123,83 @@ def test_sweep_bad_input_exit_code(tmp_path, capsys):
     _assert_bad_options("sweep", _write(tmp_path / "in.json", doc), capsys)
 
 
+# the options each command takes; any other is a usage error
+_OPTIONS = {
+    "certify": {"--mode", "--alpha", "--lambda", "--out", "--tol-feas",
+                "--tol-gap", "--max-iter"},
+    "sweep": {"--mode", "--lambda", "--grid", "--out", "--tol-feas",
+              "--tol-gap", "--max-iter"},
+    "run": {"--alpha", "--lambda", "--out"},
+    "demo-lqr": {"--lambdas", "--n", "--m", "--horizon", "--iters", "--seed",
+                 "--out"},
+    "selftest": set(),
+}
+_ALL_OPTIONS = sorted(set().union(*_OPTIONS.values()))
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, taken in _OPTIONS.items()
+    for option in _ALL_OPTIONS if option not in taken])
+def test_command_refuses_options_it_does_not_read(tmp_path, monkeypatch,
+                                                  capsys, command, option):
+    monkeypatch.chdir(tmp_path)
+    inp = _write(tmp_path / "in.json", LINEAR_DOC)
+    argv = [command] + ([inp] if command in ("certify", "sweep", "run")
+                        else []) + [option, "1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
+    assert capsys.readouterr().out == ""
+
+
+RUN_DOC = {"f": {"type": "zero"}, "g": {"type": "box", "radius": 1.0},
+           "h": {"matrix": [[1.0]]}, "z0": [1.0], "alpha": 0.5,
+           "lambda": 1.0}
+_LINEAR_NO_ALPHA = {k: v for k, v in LINEAR_DOC.items() if k != "alpha"}
+
+
+@pytest.mark.parametrize("command, doc, opts", [
+    ("certify", _LINEAR_NO_ALPHA, []),
+    ("certify", [1, 2], []),
+    ("sweep", [1, 2], ["--grid", "0.1:1:3"]),
+    ("run", [1, 2], []),
+    ("certify", dict(LINEAR_DOC, alpha="x"), []),
+    ("run", dict(RUN_DOC, alpha="x"), []),
+    ("certify", dict(LINEAR_DOC, f=3), []),
+    ("run", dict(RUN_DOC, f=3), []),
+    ("run", {k: v for k, v in RUN_DOC.items() if k != "lambda"}, []),
+    ("sweep", LINEAR_DOC, ["--grid", "0.1:1:3:bogus"]),
+    ("sweep", LINEAR_DOC, ["--grid", "0.1:1:0"]),
+    ("sweep", dict(LINEAR_DOC, grid=[]), []),
+], ids=["certify-no-alpha", "certify-array", "sweep-array", "run-array",
+        "certify-alpha-x", "run-alpha-x", "certify-f-3", "run-f-3",
+        "run-no-lambda", "grid-bogus-scale", "grid-no-points",
+        "document-grid-empty"])
+def test_malformed_input_exit_code(tmp_path, capsys, command, doc, opts):
+    inp = _write(tmp_path / "in.json", doc)
+    out = str(tmp_path / "out")
+    assert cli.main([command, inp, *opts, "--out", out]) == cli.EXIT_BAD_INPUT
+    assert json.loads(capsys.readouterr().err)["error"] == "badInput"
+    with open(out) as fh:
+        assert json.load(fh)["error"] == "badInput"
+
+
+def test_sweep_takes_the_document_lambda(tmp_path):
+    inp = _write(tmp_path / "in.json", LINEAR_DOC)
+    pinned = _write(tmp_path / "pinned.json",
+                    dict(LINEAR_DOC, **{"lambda": 0.5}))
+    csv = {}
+    for name, argv in (("flag", [inp, "--lambda", "0.5"]), ("doc", [pinned])):
+        out = str(tmp_path / f"{name}.csv")
+        assert cli.main(["sweep", *argv, "--grid", "0.05:0.5:3",
+                         "--out", out]) == cli.EXIT_OK
+        with open(out) as fh:
+            csv[name] = fh.read()
+    assert csv["doc"] == csv["flag"]
+    assert ",0.5," in csv["doc"]
+
+
 def test_certify_flag_overrides_document(tmp_path):
     inp = _write(tmp_path / "in.json", LINEAR_DOC)
     out = str(tmp_path / "cert.json")
@@ -185,7 +262,8 @@ def test_demo_lqr_outputs(tmp_path, capsys):
 
 
 def test_demo_lqr_bad_input_exit_code(tmp_path, capsys):
-    for opts in (["--lambdas", "2.5"], ["--lambdas", "x"], ["--n", "0"]):
+    for opts in (["--lambdas", "2.5"], ["--lambdas", "x"], ["--n", "0"],
+                 ["--iters", "0"]):
         capsys.readouterr()
         code = cli.main(["demo-lqr", "--out", str(tmp_path), *opts])
         assert code == cli.EXIT_BAD_INPUT, opts
