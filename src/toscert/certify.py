@@ -14,9 +14,11 @@ import numpy as np
 from scipy.linalg import null_space
 
 from . import sdpcore
-from .lmikit import (RegularityClass, build_dual_data, build_qc_triplet,
-                     build_w0, build_w1, build_w2, eta_vector, max_eig,
-                     schur_extend)
+# build_w2 and schur_extend are unused here; the traced benchmark patches them
+from .lmikit import (RATE_E, RELAX_LIN, RegularityClass, build_dual_data,
+                     build_qc_triplet, build_w0, build_w1, build_w2,
+                     eta_vector, max_eig, relaxation, schur_extend, w0_rate,
+                     w1_slope)
 
 LAM_MIN = 1e-6
 LAM_MAX = 4.0
@@ -136,7 +138,8 @@ def symbolic_sublinear(lam, Lh):
     theta = (2.0 - lam) ** 3 * lam / (2.0 * Lh ** 2)
     sig = 2.0 * lam / alpha
     classes = _case1_classes(Lh)
-    margin = _audit_residual(alpha, lam, theta, (sig, sig, sig), classes)
+    margin = audit(build_w0(lam, theta, alpha), (sig, sig, sig),
+                   _qc_mats(alpha, classes))
     return RateCertificate(
         mode=MODE_RESIDUAL, alpha=alpha, lam=lam, sigma=(sig, sig, sig),
         margin=margin, provenance="symbolic", theta=theta)
@@ -148,13 +151,6 @@ def _case1_classes(Lh):
                           RegularityClass(0.0, Lh))
 
 
-def _audit_residual(alpha, lam, theta, sigma, classes):
-    m = build_w0(lam, theta, alpha)
-    for s, q in zip(sigma, _qc_mats(alpha, classes)):
-        m = m + s * q
-    return max_eig(m)
-
-
 def _require_case1(classes):
     c = classes
     ok = (c.f.m == 0 and c.g.m == 0 and c.h.m == 0
@@ -163,26 +159,6 @@ def _require_case1(classes):
         raise CertificationError(
             "residual-rate certification needs m = 0 throughout, "
             "nonsmooth f and g, and Lipschitz h")
-
-
-# W0, W1 and W2 share the relaxation part lam^2 _RESID_P + lam _LAM_LIN, and
-# _RESID_P = eta(1) eta(1)^T; theta enters W0 as theta / alpha^2 _RESID_P and
-# rho2 enters W2 as (1 - rho2) _E.
-_RESID_P = np.array([
-    [1.0, 0.0, -1.0, 0.0],
-    [0.0, 0.0, 0.0, 0.0],
-    [-1.0, 0.0, 1.0, 0.0],
-    [0.0, 0.0, 0.0, 0.0],
-])
-
-_LAM_LIN = np.array([
-    [0.0, 0.0, 0.0, -1.0],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 1.0],
-    [-1.0, 0.0, 1.0, 0.0],
-])
-
-_E = np.diag([0.0, 0.0, 0.0, 1.0])
 
 
 # Equal deviations of x_B, y, x_A and z. When m = 0 throughout, v^T F v = 0
@@ -204,7 +180,7 @@ def _rate_program(sense, const, rate, qs, lam=None):
     """const + t rate + R(lam) + sum s_i Q_i <= 0 as a LinearSdp on its face.
 
     t >= 0 is the rate, minimized for sense = 1 and maximized for sense = -1;
-    R(lam) = lam^2 _RESID_P + lam _LAM_LIN. A pinned lam puts R(lam) in the
+    R(lam) = lmikit.relaxation(lam). A pinned lam puts R(lam) in the
     constant. With lam=None, lam is the variable after t: its square enters
     through the Schur border eta(lam) with corner -1, and
     LAM_MIN <= lam <= LAM_MAX sits on the diagonal. The face, found from the
@@ -217,9 +193,9 @@ def _rate_program(sense, const, rate, qs, lam=None):
     """
     joint = lam is None
     if joint:
-        coefs = [const, rate, _LAM_LIN]
+        coefs = [const, rate, RELAX_LIN]
     else:
-        coefs = [const + lam ** 2 * _RESID_P + lam * _LAM_LIN, rate]
+        coefs = [const + relaxation(lam), rate]
     n0 = len(coefs)
     if all(abs(_FACE_V @ m @ _FACE_V) <= 1e-12 * (_FACE_V @ np.abs(m) @ _FACE_V)
            for m in coefs + qs):
@@ -287,8 +263,9 @@ def certify_residual_rate(alpha, lam, classes,
         raise CertificationError("alpha must be positive")
     if lam is not None and not lam > 0:
         raise CertificationError("lam must be positive")
-    prob, unpack = _rate_program(-1.0, np.zeros((4, 4)), _RESID_P / alpha ** 2,
-                                 _qc_mats(alpha, classes), lam)
+    qs = _qc_mats(alpha, classes)
+    prob, unpack = _rate_program(-1.0, np.zeros((4, 4)), w0_rate(1.0, alpha),
+                                 qs, lam)
     sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
     # a cut solve's y says nothing of theta, so its status goes first
     if sol.status not in (sdpcore.STATUS_OPTIMAL, sdpcore.STATUS_INFEASIBLE):
@@ -297,7 +274,7 @@ def certify_residual_rate(alpha, lam, classes,
     theta, lam_out, sigma = unpack(sol)
     if sol.status == sdpcore.STATUS_INFEASIBLE or theta <= 0:
         raise CertificationError("no positive theta at this (alpha, lam)")
-    margin = _audit_residual(alpha, lam_out, theta, sigma, classes)
+    margin = audit(build_w0(lam_out, theta, alpha), sigma, qs)
     return RateCertificate(
         mode=MODE_RESIDUAL, alpha=alpha, lam=lam_out, sigma=sigma,
         margin=margin, provenance="sdp", theta=theta)
@@ -321,9 +298,8 @@ def certify_objective_rate(alpha, Lf, Lh, feas_tol=sdpcore.DEFAULT_FEAS_TOL,
                              RegularityClass(0.0, math.inf),
                              RegularityClass(0.0, Lh))
     qs = _qc_mats(alpha, classes)
-    t_coef = build_w1(1.0, 1.0, alpha, Lf, Lh) - \
-        build_w1(1.0, 0.0, alpha, Lf, Lh)
-    prob, unpack = _rate_program(-1.0, np.zeros((4, 4)), t_coef, qs)
+    prob, unpack = _rate_program(-1.0, np.zeros((4, 4)),
+                                 w1_slope(alpha, Lf, Lh), qs)
     sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
     if sol.status != sdpcore.STATUS_OPTIMAL:
         raise CertificationError(
@@ -331,11 +307,7 @@ def certify_objective_rate(alpha, Lf, Lh, feas_tol=sdpcore.DEFAULT_FEAS_TOL,
     theta, lam, sigma = unpack(sol)
     if theta <= 0:
         raise CertificationError("no positive theta at this alpha")
-    m2 = build_w1(lam, theta, alpha, Lf, Lh) - \
-        np.outer(eta_vector(lam), eta_vector(lam))
-    for s, q in zip(sigma, qs):
-        m2 = m2 + s * q
-    margin = max_eig(schur_extend(m2, lam))
+    margin = audit(build_w1(lam, theta, alpha, Lf, Lh), sigma, qs)
     return RateCertificate(
         mode=MODE_OBJECTIVE, alpha=alpha, lam=lam, sigma=sigma,
         margin=margin, provenance="sdp", theta=theta)
@@ -355,31 +327,27 @@ def linear_rate_value(alpha, classes, lam=None,
         raise CertificationError("alpha must be positive")
     if not check_assumption1(classes):
         raise CertificationError("assumption1 violated")
-    prob, unpack = _rate_program(1.0, _E, -_E, _qc_mats(alpha, classes), lam)
+    prob, unpack = _rate_program(1.0, RATE_E, -RATE_E,
+                                 _qc_mats(alpha, classes), lam)
     sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
     return (*unpack(sol), sol.status)
 
 
-def audit_linear(alpha, lam, rho2, sigma, classes):
-    """Feasibility margin of a linear-rate certificate.
+def audit(w, sigma, qs):
+    """Audit margin of a certificate: top eigenvalue of W + sum sigma_i Q_i.
 
-    The LMI W2 + sum sigma_i Q_i is rebuilt with W2 = W_O - rho2 W_I from the
-    dual program's data. Infinite multipliers are handled in the limit: the
-    LMI is checked on the subspace orthogonal to the negative directions of
-    the eliminated QCs.
+    One audit serves every mode: w is the mode's 4x4 W0, W1 or W2, also
+    where the program is Schur-extended. An infinite sigma_i is the limit in
+    which Q_i is NSD: the LMI is then checked on the subspace _reduce_nsd
+    leaves, orthogonal to the negative directions of the eliminated Q_i.
     """
-    qs = _qc_mats(alpha, classes)
-    w_o, w_i, _ = build_dual_data(lam)
-    m = w_o - rho2 * w_i
-    any_inf = False
+    m = w
     for s, q in zip(sigma, qs):
-        if math.isinf(s):
-            any_inf = True
-        else:
+        if math.isfinite(s):
             m = m + s * q
-    if any_inf:
+    if not all(math.isfinite(s) for s in sigma):
         _, u = _reduce_nsd(qs, 4)
-        return max_eig(u.T @ m @ u)
+        m = u.T @ m @ u
     return max_eig(m)
 
 
@@ -389,8 +357,8 @@ def certify_linear_rate(alpha, classes, lam=None,
                         max_iter=sdpcore.DEFAULT_MAX_ITER):
     """Linear-rate certificate rho2 < 1, jointly over lam unless pinned.
 
-    Refused when the program is infeasible, when rho2 >= 1, or when the
-    audit margin of the rebuilt LMI exceeds feas_tol.
+    Refused when the program is infeasible, when 1 - rho2 is not above
+    feas_tol, or when the audit margin of the rebuilt LMI exceeds feas_tol.
     """
     if lam is not None and not lam > 0:
         raise CertificationError("lam must be positive")
@@ -398,9 +366,12 @@ def certify_linear_rate(alpha, classes, lam=None,
         alpha, classes, lam, feas_tol, gap_tol, max_iter)
     if status == sdpcore.STATUS_INFEASIBLE:
         raise CertificationError("linear-rate program infeasible")
-    if not rho2 < 1.0:
+    # a contraction within the solver's tolerance of 1 is roundoff
+    if not 1.0 - rho2 > feas_tol:
         raise CertificationError("no linear certificate at this alpha")
-    margin = audit_linear(alpha, lam_out, rho2, sigma, classes)
+    # W_O - rho2 W_I is W2 also at the rho2 <= 0 of a solve cut short
+    w_o, w_i, _ = build_dual_data(lam_out)
+    margin = audit(w_o - rho2 * w_i, sigma, _qc_mats(alpha, classes))
     # a solve cut short may stop at a rate its multipliers do not prove
     if margin > feas_tol:
         raise CertificationError(

@@ -64,12 +64,20 @@ _PROX_SPECS = {
 _BAD_INPUT = (OSError, KeyError, TypeError, ValueError)
 
 
+def _require_positive(name, values):
+    """Raise ValueError unless every value is positive and finite."""
+    values = np.asarray(values, dtype=float)
+    if not ((values > 0) & np.isfinite(values)).all():
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def _load_request(args):
     """Complete the options of a certify, sweep or run call from its document.
 
     Each command's parser holds only the options it reads, and only those
     are checked. alpha and lambda come from the flag, else the document, as
-    floats. certify and sweep get their mode, solver tolerances and problem
+    floats, and must be positive and finite, as must sweep's stepsizes.
+    certify and sweep get their mode, solver tolerances and problem
     classes, sweep its stepsizes, run its splitting oracle and settings.
     Raises one of _BAD_INPUT.
     """
@@ -81,6 +89,10 @@ def _load_request(args):
         args.alpha = float(doc["alpha"])
     if args.lam is None and doc.get("lambda") is not None:
         args.lam = float(doc["lambda"])
+    for name, value in (("alpha", vars(args).get("alpha")),
+                        ("lambda", args.lam)):
+        if value is not None:
+            _require_positive(name, value)
     if args.command == "run":
         if args.lam is None:
             raise KeyError("lambda")
@@ -104,6 +116,7 @@ def _load_request(args):
                      else np.asarray(doc["grid"], dtype=float))
         if args.grid.ndim != 1 or not args.grid.size:
             raise ValueError("the alpha grid needs at least one point")
+        _require_positive("every alpha grid point", args.grid)
 
 
 def _write(text, out):

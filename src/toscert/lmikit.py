@@ -1,11 +1,13 @@
 """Matrix builders and the audit eigenvalue for rate certification.
 
-Everything here is a small dense symmetric matrix: the quadratic-constraint
-blocks Q(m, L), their 4x4 sandwiched versions Q1..Q3, the Lyapunov difference
-matrices W0/W1/W2, the Schur-complement extension, and the data of the dual
-rate program. All builders are pure functions of their arguments.
-`max_eig`, LAPACK's top eigenvalue, is the audit margin of every
-certificate.
+This module is the one place the certificate matrices are written, each a
+small dense symmetric matrix: the quadratic-constraint blocks Q(m, L), their
+4x4 sandwiched versions Q1..Q3, the Lyapunov difference matrices W0/W1/W2
+and the parts they are built from, the Schur-complement extension, and the
+data of the dual rate program. `certify` assembles its programs and audits
+from these and keeps no copy. All builders are pure functions of their
+arguments. `max_eig`, LAPACK's top eigenvalue, is the audit margin of every
+certificate, taken on the 4x4 LMI W + sum sigma_i Q_i.
 """
 
 import math
@@ -83,17 +85,52 @@ def build_qc_triplet(alpha, f, g, h):
     return q1, q2, q3
 
 
+# The parts every certificate LMI is written from, here and nowhere else.
+# W0, W1 and W2 share the relaxation part lam^2 RELAX_P + lam RELAX_LIN, with
+# RELAX_P = eta(1) eta(1)^T, and differ in their rate term: theta / alpha^2
+# RELAX_P for W0, theta w1_slope for W1 and (1 - rho2) RATE_E for W2.
+RELAX_P = np.array([
+    [1.0, 0.0, -1.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0],
+    [-1.0, 0.0, 1.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0],
+])
+RELAX_LIN = np.array([
+    [0.0, 0.0, 0.0, -1.0],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0],
+    [-1.0, 0.0, 1.0, 0.0],
+])
+RATE_E = np.diag([0.0, 0.0, 0.0, 1.0])
+
+
+def relaxation(lam):
+    """lam^2 RELAX_P + lam RELAX_LIN, the part W0, W1 and W2 share."""
+    return lam ** 2 * RELAX_P + lam * RELAX_LIN
+
+
+def w0_rate(theta, alpha):
+    """The rate term theta / alpha^2 RELAX_P of W0."""
+    return theta / alpha ** 2 * RELAX_P
+
+
+def w1_slope(alpha, Lf, Lh):
+    """The coefficient of theta in W1."""
+    c = 1.0 / (alpha ** 2 * Lh)
+    b = -(0.5 / alpha + Lf / 2.0)
+    return np.array([
+        [1.0 / alpha + Lf / 2.0 - 2.0 * c, c, b, c],
+        [c, -c / 2.0, 0.0, -c / 2.0],
+        [b, 0.0, Lf / 2.0, 0.0],
+        [c, -c / 2.0, 0.0, -c / 2.0],
+    ])
+
+
 def build_w0(lam, theta, alpha):
     """The 4x4 Lyapunov difference matrix of the residual-rate certificate."""
     if not (lam > 0 and theta > 0 and alpha > 0):
         raise ValueError("lam, theta, alpha must be positive")
-    a = lam ** 2 + theta / alpha ** 2
-    return np.array([
-        [a, 0.0, -a, -lam],
-        [0.0, 0.0, 0.0, 0.0],
-        [-a, 0.0, a, lam],
-        [-lam, 0.0, lam, 0.0],
-    ])
+    return relaxation(lam) + w0_rate(theta, alpha)
 
 
 def build_w1(lam, theta, alpha, Lf, Lh):
@@ -102,20 +139,7 @@ def build_w1(lam, theta, alpha, Lf, Lh):
         raise ValueError("lam, alpha must be positive and theta nonnegative")
     if not (math.isfinite(Lf) and math.isfinite(Lh) and Lf > 0 and Lh > 0):
         raise ValueError("Lf and Lh must be finite and positive")
-    c = 1.0 / (alpha ** 2 * Lh)
-    a_blk = np.array([
-        [lam ** 2 + (1.0 / alpha + Lf / 2.0 - 2.0 * c) * theta, theta * c],
-        [theta * c, -theta * c / 2.0],
-    ])
-    b_blk = np.array([
-        [-lam ** 2 - theta * (0.5 / alpha + Lf / 2.0), -lam + theta * c],
-        [0.0, -theta * c / 2.0],
-    ])
-    d_blk = np.array([
-        [lam ** 2 + theta * Lf / 2.0, lam],
-        [lam, -theta * c / 2.0],
-    ])
-    return np.block([[a_blk, b_blk], [b_blk.T, d_blk]])
+    return relaxation(lam) + theta * w1_slope(alpha, Lf, Lh)
 
 
 def build_w2(lam, rho2):
@@ -124,12 +148,7 @@ def build_w2(lam, rho2):
         raise ValueError("lam must be positive")
     if not (0 < rho2 <= 1):
         raise ValueError("rho2 must lie in (0, 1]")
-    return np.array([
-        [lam ** 2, 0.0, -lam ** 2, -lam],
-        [0.0, 0.0, 0.0, 0.0],
-        [-lam ** 2, 0.0, lam ** 2, lam],
-        [-lam, 0.0, lam, 1.0 - rho2],
-    ])
+    return relaxation(lam) + (1.0 - rho2) * RATE_E
 
 
 def eta_vector(lam):
@@ -155,24 +174,16 @@ def schur_extend(m, lam):
 
 
 def build_dual_data(lam):
-    """Data (W_O, W_I, G) of the dual rate program at relaxation lam."""
+    """Data (W_O, W_I, G) of the dual rate program; W2 = W_O - rho2 W_I."""
     if not lam > 0:
         raise ValueError("lam must be positive")
-    w_o = np.array([
-        [lam ** 2, 0.0, -lam ** 2, -lam],
-        [0.0, 0.0, 0.0, 0.0],
-        [-lam ** 2, 0.0, lam ** 2, lam],
-        [-lam, 0.0, lam, 1.0],
-    ])
-    w_i = np.zeros((4, 4))
-    w_i[3, 3] = 1.0
     g = np.array([
         [0.0, 0.0, 1.0, 0.0],
         [-1.0, 0.0, 2.0, -1.0],
         [0.0, 1.0, 0.0, 0.0],
         [1.0, 0.0, 0.0, 0.0],
     ])
-    return w_o, w_i, g
+    return relaxation(lam) + RATE_E, RATE_E.copy(), g
 
 
 def max_eig(m):

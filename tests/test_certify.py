@@ -11,7 +11,7 @@ from scipy.linalg import block_diag, null_space
 from toscert import certify, sdpcore, tos
 from toscert.certify import (CertificationError, MODE_LINEAR, MODE_OBJECTIVE,
                              MODE_RESIDUAL, ProblemClasses, RateCertificate,
-                             audit_linear, certificate_from_json,
+                             audit, certificate_from_json,
                              certificate_to_json, certify_linear_rate,
                              certify_objective_rate, certify_residual_rate,
                              check_assumption1, dual_linear_rate,
@@ -134,6 +134,9 @@ def test_residual_grid_is_decisive(monkeypatch):
 def test_residual_rate_input_validation():
     with pytest.raises(CertificationError):
         certify_residual_rate(-1.0, 0.5, certify._case1_classes(1.0))
+    for lam in (0.0, -0.5):
+        with pytest.raises(CertificationError, match="lam must be positive"):
+            certify_residual_rate(1.0, lam, certify._case1_classes(1.0))
     with pytest.raises(CertificationError):
         certify_residual_rate(1.0, 0.5, STRONG_G)
 
@@ -250,6 +253,8 @@ def test_pinned_linear_rate_at_the_joint_lambda(alpha, classes):
 def test_linear_rate_infeasible_stepsize():
     with pytest.raises(CertificationError):
         certify_linear_rate(50.0, STRONG_G)
+    with pytest.raises(CertificationError, match="lam must be positive"):
+        certify_linear_rate(3.0, STRONG_G, lam=0.0)
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 3])
@@ -272,12 +277,42 @@ def test_dual_solution_matrix():
     assert np.linalg.eigvalsh(z).min() >= -1e-9
 
 
-def test_audit_linear_detects_bad_rate():
-    rho2, lam, sigma, _ = linear_rate_value(0.2, STRONG_G, lam=0.5)
-    good = audit_linear(0.2, 0.5, rho2, sigma, STRONG_G)
-    bad = audit_linear(0.2, 0.5, rho2 - 0.05, sigma, STRONG_G)
-    assert good <= 1e-8
-    assert bad > 1e-3
+def test_audit_refuses_a_nudged_certificate():
+    # one audit serves every mode: each issued certificate passes it, and
+    # the same multipliers fail it once the rate moves 0.1% past the optimum;
+    # the last certificate has an infinite multiplier
+    case1 = certify._case1_classes(1.0)
+    smooth = _cls(0.0, 2.0, 0.0, math.inf, 0.0, 3.0)
+    w0 = lambda cert, theta: build_w0(cert.lam, theta, cert.alpha)
+    w2 = lambda cert, rho2: build_w2(cert.lam, rho2)
+    cases = [
+        (symbolic_sublinear(0.5, 1.0), case1, w0),
+        (certify_residual_rate(1.0, 1.0, case1), case1, w0),
+        (certify_residual_rate(0.5, None, case1), case1, w0),
+        (certify_objective_rate(0.7, 2.0, 3.0), smooth,
+         lambda cert, theta: build_w1(cert.lam, theta, 0.7, 2.0, 3.0)),
+        (certify_linear_rate(0.2, STRONG_G), STRONG_G, w2),
+        (certify_linear_rate(0.2, STRONG_G, lam=0.3), STRONG_G, w2),
+        (certify_linear_rate(0.02, STRONG_F_EQUAL), STRONG_F_EQUAL, w2),
+    ]
+    assert math.isinf(cases[-1][0].sigma[2])
+    for cert, classes, w in cases:
+        qs = certify._qc_mats(cert.alpha, classes)
+        assert audit(w(cert, cert.rate()), cert.sigma, qs) == cert.margin
+        assert cert.margin <= 1e-8, cert
+        nudge = 0.999 if cert.mode == MODE_LINEAR else 1.001
+        assert audit(w(cert, nudge * cert.rate()), cert.sigma, qs) > 1e-5, cert
+
+
+@pytest.mark.parametrize("alpha", [1.0, 3.0])
+def test_linear_rate_refuses_a_rate_within_tolerance_of_one(alpha):
+    # at lam = 1e-9 no iteration contracts by more than roundoff: the solves
+    # end at rho2 = 1 - 4.5e-11 (alpha = 1) and 1 - 1.5e-9 (alpha = 3)
+    rho2, _, _, status = linear_rate_value(alpha, STRONG_G, lam=1e-9)
+    assert status == sdpcore.STATUS_OPTIMAL
+    assert 0 < 1.0 - rho2 <= sdpcore.DEFAULT_FEAS_TOL
+    with pytest.raises(CertificationError, match="no linear certificate"):
+        certify_linear_rate(alpha, STRONG_G, lam=1e-9)
 
 
 def test_check_assumption():

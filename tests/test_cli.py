@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from toscert import certify, cli
+from toscert.lmikit import build_qc_triplet, build_w2
 
 
 def _write(path, doc):
@@ -42,8 +43,8 @@ def test_certify_linear_round_trip(tmp_path):
         certify.RegularityClass(0, math.inf),
         certify.RegularityClass(1, 10),
         certify.RegularityClass(0, 20))
-    margin = certify.audit_linear(cert.alpha, cert.lam, cert.rho2,
-                                  cert.sigma, classes)
+    qs = build_qc_triplet(cert.alpha, classes.f, classes.g, classes.h)
+    margin = certify.audit(build_w2(cert.lam, cert.rho2), cert.sigma, qs)
     assert margin <= 1e-7
 
 
@@ -73,14 +74,15 @@ RESIDUAL_DOC = {
     (dict(LINEAR_DOC, alpha=3.0), "0"),
 ], ids=["residual-0", "residual-minus-0.5", "linear-0"])
 def test_certify_refuses_nonpositive_lambda(tmp_path, doc, lam):
+    # a stepsize that is not positive is malformed input, not a refusal
     inp = _write(tmp_path / "in.json", doc)
     out = str(tmp_path / "err.json")
     code = cli.main(["certify", inp, "--lambda", lam, "--out", out])
-    assert code == cli.EXIT_INFEASIBLE
+    assert code == cli.EXIT_BAD_INPUT
     with open(out) as fh:
         err = json.load(fh)
-    assert err["error"] == "infeasible"
-    assert "lam must be positive" in err["message"]
+    assert err["error"] == "badInput"
+    assert "lambda must be positive" in err["message"]
 
 
 def test_certify_residual_meets_closed_form(tmp_path):
@@ -172,10 +174,18 @@ _LINEAR_NO_ALPHA = {k: v for k, v in LINEAR_DOC.items() if k != "alpha"}
     ("sweep", LINEAR_DOC, ["--grid", "0.1:1:3:bogus"]),
     ("sweep", LINEAR_DOC, ["--grid", "0.1:1:0"]),
     ("sweep", dict(LINEAR_DOC, grid=[]), []),
+    ("certify", LINEAR_DOC, ["--alpha", "0"]),
+    ("certify", LINEAR_DOC, ["--alpha", "nan"]),
+    ("certify", dict(LINEAR_DOC, alpha=-0.2), []),
+    ("sweep", LINEAR_DOC, ["--grid=-0.5:0.5:3:lin"]),
+    ("sweep", dict(LINEAR_DOC, grid=[0.1, math.inf]), []),
+    ("sweep", LINEAR_DOC, ["--grid", "0.1:1:3", "--lambda", "inf"]),
 ], ids=["certify-no-alpha", "certify-array", "sweep-array", "run-array",
         "certify-alpha-x", "run-alpha-x", "certify-f-3", "run-f-3",
         "run-no-lambda", "grid-bogus-scale", "grid-no-points",
-        "document-grid-empty"])
+        "document-grid-empty", "certify-alpha-0", "certify-alpha-nan",
+        "certify-document-alpha-negative",
+        "grid-negative-points", "document-grid-inf", "sweep-lambda-inf"])
 def test_malformed_input_exit_code(tmp_path, capsys, command, doc, opts):
     inp = _write(tmp_path / "in.json", doc)
     out = str(tmp_path / "out")

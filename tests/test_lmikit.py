@@ -119,6 +119,33 @@ def test_build_w1_theta_zero_matches_zero_rate_part():
     assert np.allclose(a - b, b - c, atol=1e-12)
 
 
+def test_builders_match_the_paper_at_a_generic_point():
+    # the programs and the audits share these builders, so their one
+    # independent check is this transcription of the paper's W0, W1 and W2,
+    # at a point where c = 4/5 and no two formulas coincide; every input is
+    # a float exactly
+    alpha, Lf, Lh, lam = Fraction(1, 2), 3, 5, Fraction(3, 4)
+    theta, rho2 = Fraction(5, 16), Fraction(9, 16)
+    a = lam ** 2 + theta / alpha ** 2
+    w0 = [[a, 0, -a, -lam], [0, 0, 0, 0], [-a, 0, a, lam], [-lam, 0, lam, 0]]
+    c = 1 / (alpha ** 2 * Lh)
+    b = -lam ** 2 - theta * (1 / (2 * alpha) + Fraction(Lf, 2))
+    w1 = [[lam ** 2 + (1 / alpha + Fraction(Lf, 2) - 2 * c) * theta,
+           theta * c, b, -lam + theta * c],
+          [theta * c, -theta * c / 2, 0, -theta * c / 2],
+          [b, 0, lam ** 2 + theta * Fraction(Lf, 2), lam],
+          [-lam + theta * c, -theta * c / 2, lam, -theta * c / 2]]
+    w2 = [[lam ** 2, 0, -lam ** 2, -lam], [0, 0, 0, 0],
+          [-lam ** 2, 0, lam ** 2, lam], [-lam, 0, lam, 1 - rho2]]
+    f = float
+    built = (build_w0(f(lam), f(theta), f(alpha)),
+             build_w1(f(lam), f(theta), f(alpha), Lf, Lh),
+             build_w2(f(lam), f(rho2)))
+    for exact, got in zip((w0, w1, w2), built):
+        np.testing.assert_allclose(got, np.array(exact, dtype=float),
+                                   rtol=1e-15, atol=0)
+
+
 def test_build_w2_rate_entry():
     w = build_w2(0.8, 0.36)
     assert abs(w[3, 3] - (1.0 - 0.36)) < 1e-15
