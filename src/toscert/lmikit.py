@@ -7,13 +7,15 @@ and the parts they are built from, the Schur-complement extension, and the
 data of the dual rate program. `certify` assembles its programs and audits
 from these and keeps no copy. All builders are pure functions of their
 arguments. `max_eig`, LAPACK's top eigenvalue, is the audit margin of every
-certificate, taken on the 4x4 LMI W + sum sigma_i Q_i.
+certificate, taken on the 4x4 LMI W + sum sigma_i Q_i. `eigvalsh` is the one
+eigenvalue routine of the package: `max_eig` and the IPM loop both call it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dsyevd
 
 KRON_DIM_CAP = 64
 
@@ -186,9 +188,23 @@ def build_dual_data(lam):
     return relaxation(lam) + RATE_E, RATE_E.copy(), g
 
 
+def eigvalsh(m):
+    """Ascending eigenvalues of a symmetric matrix, from its lower triangle.
+
+    Calls LAPACK's dsyevd directly, as numpy.linalg.eigvalsh does, without
+    numpy's gufunc set-up, which costs as much as the solve at n <= 9.
+    """
+    w, _, info = dsyevd(m, compute_v=0, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dsyevd")
+    return w
+
+
 def max_eig(m):
-    """Largest eigenvalue of a symmetric matrix (LAPACK's eigvalsh)."""
-    return float(np.linalg.eigvalsh(sym_check(m))[-1])
+    """Largest eigenvalue of a symmetric matrix (LAPACK's dsyevd)."""
+    return float(eigvalsh(sym_check(m))[-1])
 
 
 def kron_identity(base, d):

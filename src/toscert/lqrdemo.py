@@ -72,33 +72,6 @@ def build_instance(seed, n, m, horizon):
     return LqrInstance(a, b, q, r, horizon, x_init)
 
 
-def cost_matrix(inst):
-    """The dense E and the layout; a reference for the block oracles."""
-    layout = TrajectoryLayout(inst.a.shape[0], inst.b.shape[1], inst.horizon)
-    e = np.zeros((layout.dim, layout.dim))
-    for t in range(inst.horizon + 1):
-        e[layout.x_slice(t), layout.x_slice(t)] = inst.q
-    for t in range(inst.horizon):
-        e[layout.u_slice(t), layout.u_slice(t)] = inst.r
-    return e, layout
-
-
-def dynamics_constraints(inst, layout):
-    """Rows of A_c w = b_c pinning x_0 and the transitions."""
-    n, m, horizon = layout.n, layout.m, layout.horizon
-    rows = (horizon + 1) * n
-    a_c = np.zeros((rows, layout.dim))
-    b_c = np.zeros(rows)
-    a_c[:n, layout.x_slice(0)] = np.eye(n)
-    b_c[:n] = inst.x_init
-    for t in range(horizon):
-        blk = slice((t + 1) * n, (t + 2) * n)
-        a_c[blk, layout.x_slice(t + 1)] = np.eye(n)
-        a_c[blk, layout.x_slice(t)] = -inst.a
-        a_c[blk, layout.u_slice(t)] = -inst.b
-    return a_c, b_c
-
-
 def _gram_band(inst):
     """Upper band of the Gram A_c A_c^T, in the layout of cholesky_banded.
 

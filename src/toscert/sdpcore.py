@@ -9,19 +9,30 @@ Newton solves. All certificate programs have base dimension <= 7 and at
 most a handful of variables, so a bespoke dense method is plenty.
 
 Every program takes one run of the loop. An infeasible one is refused when
-the run's own primal iterate becomes a Farkas ray for the LMI, a W >= 0
-with F0 . W > 0 beside which every F_i . W is small (F_i . W >= 0 for
-flagged y_i); no second solve is made. "Small" is 1e-4 in the equilibrated
-units of the IPM, so the ray proves that no y whose equilibrated image has
-1-norm below 1e4 is feasible, whatever the scale of the data.
+the run's own primal iterate gives a Farkas ray for the LMI, a W >= 0 with
+F0 . W > feas_tol tr W beside which every F_i . W is small (F_i . W >= 0
+for flagged y_i); no second solve is made. "Small" is at most 1e-4 of
+F0 . W in the equilibrated units of the IPM, so every refusal proves that
+no y whose equilibrated image has 1-norm below 1e4 is feasible, whatever
+the scale of the data. Two tests look for the ray at each iteration:
+- the exact one projects x onto {X : A_i . X = 0} along span(A_i) and takes
+  the projection X_p when its smallest eigenvalue is >= 0. Its A_i . X_p
+  are zero up to rounding, so it rules out every y of 1-norm below
+  (-C . X_p) / max |A_i . X_p|, a bound that only rounding sets. It ends
+  most refusals about twice as early as the approximate test;
+- the approximate one takes x itself once every |A_i . x| is below the
+  1e-4 bar. It stays as the fallback: when x is nearly singular, the
+  correction sum u_i A_i can push X_p out of the cone, and then only
+  this test ends the run; without it such runs end numericalFailure.
 `feasibility_margin` stays as a public strict-feasibility oracle: it hands
 `solve_sdp` the program with one more variable t, so `_ipm` has one caller.
 
 At that size an iteration costs library-call overhead more than
 arithmetic, so each iteration takes one eigendecomposition and one
 inverse Cholesky factor of x and of z, which its Newton system and its
-four step-length searches share, and calls LAPACK's Cholesky routines
-directly rather than through scipy's checking wrappers.
+four step-length searches share, and calls LAPACK's Cholesky and
+eigenvalue routines directly rather than through the checking wrappers
+of scipy and numpy.
 """
 
 from dataclasses import dataclass
@@ -29,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .lmikit import max_eig, sym_check
+from .lmikit import eigvalsh, max_eig, sym_check
 
 DEFAULT_FEAS_TOL = 1e-8
 DEFAULT_GAP_TOL = 1e-8
@@ -120,8 +131,11 @@ def _cho_solve(c, b):
 
 
 def _inv_chol(m, w, eye):
-    """Inverse Cholesky factor of m lifted by its eigenvalues w to be PD."""
-    ms = m + max(0.0, 1e-14 - w.min()) * eye
+    """Inverse Cholesky factor of m, lifted to be PD by its eigenvalues w.
+
+    w is ascending, as eigvalsh returns it.
+    """
+    ms = m + max(0.0, 1e-14 - w[0]) * eye
     return np.linalg.inv(np.linalg.cholesky(ms))
 
 
@@ -131,7 +145,7 @@ def _steplen(li, dx):
     li is the inverse Cholesky factor of x from _inv_chol.
     """
     s = li @ dx @ li.T
-    lam = np.linalg.eigvalsh(0.5 * (s + s.T)).min()
+    lam = eigvalsh(0.5 * (s + s.T))[0]
     return 1e6 if lam >= -1e-14 else -1.0 / lam
 
 
@@ -174,7 +188,24 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
 
     avec = np.stack([a.ravel() for a in amats])
     astack = avec.reshape(m, n, n)
+    # x projected onto {X : A_i . X = 0} is X_p = x - sum u_i A_i, u = G^-1 A x
+    # with G = (A_i . A_j) (ridged like the Newton system's matrix, so a zero
+    # or repeated A_i cannot break the factor); with G^-1 folded into the A_i,
+    # diag(X_p) and C . X_p cost one small product each
+    pav = _cho_solve(_cho_factor(avec @ avec.T + 1e-13 * np.eye(m)), avec)
+    pdiag = pav[:, ::n + 1]
+    pc = pav @ cmat.ravel()
+    deq2 = deq[:n0] ** 2
+
+    def is_ray(xm, axm, cx):
+        # xm >= 0 is a Farkas ray when W = D xm D, D = diag(deq), has
+        # F0 . W above feas_tol tr W while every scaled A_i . xm is ~0 beside
+        # -C . xm: no scaled y with |y|_1 < 1e4 is then feasible
+        return (-cscale * cx > feas_tol * (deq2 @ xm.diagonal()[:n0])
+                and np.abs(axm).max() <= 1e-4 * -cx)
+
     eye = np.eye(n)
+    eye_m = np.eye(m)
     x = np.eye(n)
     z = np.eye(n)
     y = np.zeros(m)
@@ -202,37 +233,45 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
         if pres < feas_tol and dres < feas_tol and gap < gap_tol:
             tag = "converged"
             break
-        # x is a Farkas ray when W = D x D, D = diag(deq), has F0 . W above
-        # feas_tol tr W while every scaled A_i . x is ~0 beside -C . x: no
-        # scaled y with |y|_1 < 1e4 is then feasible
-        if (-cscale * pobj > feas_tol * (deq[:n0] ** 2 @ x.diagonal()[:n0])
-                and np.abs(ax).max() <= 1e-4 * -pobj):
+        if is_ray(x, ax, pobj):
             tag = STATUS_INFEASIBLE
             break
+        # the exact ray: X_p with A X_p = 0 up to rounding; its diagonal and
+        # C . X_p screen it before it is formed and its eigenvalues taken
+        dp = x.diagonal() - ax @ pdiag
+        if (dp.min() >= 0
+                and -cscale * (pobj - ax @ pc) > feas_tol * (deq2 @ dp[:n0])):
+            xp = x - (ax @ pav).reshape(n, n)
+            if (is_ray(xp, avec @ xp.ravel(), np.vdot(cmat, xp))
+                    and eigvalsh(xp)[0] >= 0):
+                tag = STATUS_INFEASIBLE
+                break
         if noimp > 30:
             tag = "stall"
             break
         try:
             # x and z stay fixed until the step: factor each once
-            wx = np.linalg.eigvalsh(x)
-            wz = np.linalg.eigvalsh(z)
+            wx = eigvalsh(x)
+            wz = eigvalsh(z)
             lx = _inv_chol(x, wx, eye)
             lz = _inv_chol(z, wz, eye)
-            shift = 0.0 if wz.min() > 0 else (1e-14 - wz.min())
+            shift = 0.0 if wz[0] > 0 else (1e-14 - wz[0])
             zi = _cho_solve(_cho_factor(z + shift * eye), eye)
             zi = 0.5 * (zi + zi.T)
             zax = (zi @ astack @ x).reshape(m, n * n)
             mmat = avec @ zax.T
             mmat = 0.5 * (mmat + mmat.T)
             reg = 1e-13 * max(np.trace(mmat) / m, 1.0)
-            mc = _cho_factor(mmat + reg * np.eye(m))
+            mc = _cho_factor(mmat + reg * eye_m)
+            rdx = rd @ x
 
             def newton(sigmu, corr):
-                base = sigmu * zi - x - zi @ (rd @ x + corr)
+                szx = sigmu * zi - x
+                base = szx - zi @ (rdx + corr)
                 rhs = rp - avec @ (0.5 * (base + base.T)).ravel()
                 dy = _cho_solve(mc, rhs)
                 dz = rd - (dy @ avec).reshape(n, n)
-                dxr = sigmu * zi - x - zi @ (dz @ x + corr)
+                dxr = szx - zi @ (dz @ x + corr)
                 return dy, 0.5 * (dxr + dxr.T), dz
 
             dy_a, dx_a, dz_a = newton(0.0, 0.0)
@@ -286,10 +325,12 @@ def solve_sdp(problem, feas_tol=DEFAULT_FEAS_TOL, gap_tol=DEFAULT_GAP_TOL,
     """Solve a LinearSdp; the reported slack is an independent eigenvalue audit.
 
     One IPM run decides the status: `optimal` when it converges and the
-    audit passes, `infeasible` when its primal iterate is a Farkas ray for
-    the LMI, `numericalFailure` when its Newton system breaks down, and
-    `maxIterations` otherwise. The ray bounds y in the IPM's equilibrated
-    units only (see the module docstring).
+    audit passes, `infeasible` when its primal iterate, projected exactly
+    onto the null space of the constraints or taken as it is, is a Farkas
+    ray for the LMI, `numericalFailure` when its Newton system breaks down,
+    and `maxIterations` otherwise. Every ray rules out each y of
+    equilibrated 1-norm below 1e4, and a projected one each y up to a
+    1-norm that only rounding bounds (see the module docstring).
     """
     check_options(feas_tol, gap_tol, max_iter)
     if problem.nvars == 0:

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from toscert.lmikit import (KRON_DIM_CAP, RegularityClass, build_dual_data,
                             build_qc_triplet, build_w0, build_w1, build_w2,
-                            eta_vector, kron_identity, max_eig, qc_base,
-                            schur_extend, sym_check)
+                            eigvalsh, eta_vector, kron_identity, max_eig,
+                            qc_base, schur_extend, sym_check)
 from test_sdpcore import _exact_pd
 
 
@@ -218,6 +218,21 @@ def test_max_eig_is_bracketed_exactly():
         eps = Fraction(2 * len(m) * np.finfo(float).eps * np.linalg.norm(m))
         assert _exact_pd(_exact_shift(m, top + eps))
         assert not _exact_pd(_exact_shift(m, top - eps))
+
+
+def test_eigvalsh_matches_numpy():
+    # LAPACK's dsyevd called directly: ascending, and within the same
+    # 2 n eps_mach |M|_F of numpy's eigvalsh as max_eig's exact bracket
+    rng = np.random.default_rng(13)
+    for n in range(1, 10):
+        for scale in (1e-6, 1.0, 1e6):
+            a = scale * rng.standard_normal((n, n))
+            m = 0.5 * (a + a.T)
+            w = eigvalsh(m)
+            assert w.shape == (n,)
+            assert np.all(np.diff(w) >= 0)
+            eps = 2 * n * np.finfo(float).eps * np.linalg.norm(m)
+            assert np.abs(w - np.linalg.eigvalsh(m)).max() <= eps
 
 
 @settings(deadline=None, max_examples=50)

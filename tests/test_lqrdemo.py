@@ -11,6 +11,34 @@ from scipy.optimize import lsq_linear
 from toscert import lqrdemo, tos
 
 
+def cost_matrix(inst):
+    """The dense E and the layout; the reference for the block oracles."""
+    layout = lqrdemo.TrajectoryLayout(inst.a.shape[0], inst.b.shape[1],
+                                      inst.horizon)
+    e = np.zeros((layout.dim, layout.dim))
+    for t in range(inst.horizon + 1):
+        e[layout.x_slice(t), layout.x_slice(t)] = inst.q
+    for t in range(inst.horizon):
+        e[layout.u_slice(t), layout.u_slice(t)] = inst.r
+    return e, layout
+
+
+def dynamics_constraints(inst, layout):
+    """Rows of A_c w = b_c pinning x_0 and the transitions."""
+    n, m, horizon = layout.n, layout.m, layout.horizon
+    rows = (horizon + 1) * n
+    a_c = np.zeros((rows, layout.dim))
+    b_c = np.zeros(rows)
+    a_c[:n, layout.x_slice(0)] = np.eye(n)
+    b_c[:n] = inst.x_init
+    for t in range(horizon):
+        blk = slice((t + 1) * n, (t + 2) * n)
+        a_c[blk, layout.x_slice(t + 1)] = np.eye(n)
+        a_c[blk, layout.x_slice(t)] = -inst.a
+        a_c[blk, layout.u_slice(t)] = -inst.b
+    return a_c, b_c
+
+
 def test_build_instance_dimensions_and_stability():
     inst = lqrdemo.build_instance(42, 20, 5, 20)
     assert inst.a.shape == (20, 20)
@@ -47,7 +75,7 @@ def test_layout_dimensions():
 
 def test_cost_matrix_blocks():
     inst = lqrdemo.build_instance(3, 4, 2, 5)
-    e, layout = lqrdemo.cost_matrix(inst)
+    e, layout = cost_matrix(inst)
     assert e.shape == (layout.dim, layout.dim)
     assert np.array_equal(e[layout.x_slice(2), layout.x_slice(2)], inst.q)
     assert np.array_equal(e[layout.u_slice(1), layout.u_slice(1)], inst.r)
@@ -56,8 +84,8 @@ def test_cost_matrix_blocks():
 
 def test_dynamics_projection_satisfies_constraints():
     inst = lqrdemo.build_instance(5, 4, 2, 6)
-    _, layout = lqrdemo.cost_matrix(inst)
-    a_c, b_c = lqrdemo.dynamics_constraints(inst, layout)
+    _, layout = cost_matrix(inst)
+    a_c, b_c = dynamics_constraints(inst, layout)
     proj = tos.AffineSubspaceProx(a_c, b_c)
     rng = np.random.default_rng(0)
     w = proj(1.0, rng.standard_normal(layout.dim))
@@ -74,7 +102,7 @@ def test_dynamics_projection_satisfies_constraints():
 def test_assemble_oracles_clamps_inputs_only():
     inst = lqrdemo.build_instance(1, 3, 2, 4)
     oracle, layout, l_h = lqrdemo.assemble_oracles(inst)
-    e, _ = lqrdemo.cost_matrix(inst)
+    e, _ = cost_matrix(inst)
     w = 5.0 * np.ones(layout.dim)
     out = oracle.prox_f(0.3, w)
     assert np.all(out[layout.u_block()] == 1.0)
@@ -87,8 +115,8 @@ def test_assemble_oracles_clamps_inputs_only():
 def _dense_oracle(inst):
     """The oracles from the dense cost matrix and constraint rows."""
     oracle, layout, _ = lqrdemo.assemble_oracles(inst)
-    e, _ = lqrdemo.cost_matrix(inst)
-    a_c, b_c = lqrdemo.dynamics_constraints(inst, layout)
+    e, _ = cost_matrix(inst)
+    a_c, b_c = dynamics_constraints(inst, layout)
     return dataclasses.replace(
         oracle, prox_g=tos.AffineSubspaceProx(a_c, b_c),
         grad_h=lambda w: e @ w, objective=lambda w: 0.5 * float(w @ (e @ w)))
@@ -159,7 +187,7 @@ def test_active_input_box():
 def test_assemble_oracles_objective_and_classes():
     inst = lqrdemo.build_instance(1, 3, 2, 4)
     oracle, layout, _ = lqrdemo.assemble_oracles(inst)
-    e, _ = lqrdemo.cost_matrix(inst)
+    e, _ = cost_matrix(inst)
     w = np.ones(layout.dim)
     assert abs(oracle.objective(w) - 0.5 * w @ e @ w) < 1e-12
 

@@ -200,6 +200,19 @@ def test_steplen_matches_brute_force():
         assert not _exact_pd(_exact_step(x, dx, 1.001 * a))
 
 
+def _recorded_solves(monkeypatch):
+    """The list that every later sdpcore.solve_sdp call appends its result to."""
+    solved = []
+    solve = sdpcore.solve_sdp
+
+    def recorded(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(sdpcore, "solve_sdp", recorded)
+    return solved
+
+
 def test_iterations_are_steplen_calls_over_four(monkeypatch):
     # the benchmark counts IPM iterations as _steplen calls / 4
     calls = [0]
@@ -215,19 +228,40 @@ def test_iterations_are_steplen_calls_over_four(monkeypatch):
         sol = solve_sdp(prob)
         assert sol.status == STATUS_OPTIMAL
         assert calls[0] == 4 * sol.iterations > 0
-    solved = []
-    solve = sdpcore.solve_sdp
-
-    def recorded(*args, **kwargs):
-        solved.append(solve(*args, **kwargs))
-        return solved[-1]
-
-    monkeypatch.setattr(sdpcore, "solve_sdp", recorded)
+    solved = _recorded_solves(monkeypatch)
     calls[0] = 0
     certify.certify_objective_rate(1.0, 1.0, 1.0)
     (sol,) = solved
     assert sol.status == STATUS_OPTIMAL
     assert calls[0] == 4 * sol.iterations > 0
+    calls[0] = 0
+    with pytest.raises(certify.CertificationError, match="ended infeasible"):
+        certify.certify_objective_rate(5.0, 3.0, 3.0)
+    sol = solved[-1]
+    assert sol.status == STATUS_INFEASIBLE
+    assert calls[0] == 4 * sol.iterations > 0
+
+
+@pytest.mark.parametrize("point, most", [((5.0, 3.0, 3.0), 12),
+                                         ((4.2658, 30.0, 30.0), 14)])
+def test_refusal_ends_on_a_projected_ray(monkeypatch, point, most):
+    # the iterate projected onto {X : A_i . X = 0} is a ray 12 iterations
+    # before the 1e-4 test alone ends the run (at 23 and 25)
+    solved = _recorded_solves(monkeypatch)
+    with pytest.raises(certify.CertificationError, match="ended infeasible"):
+        certify.certify_objective_rate(*point)
+    (sol,) = solved
+    assert sol.status == STATUS_INFEASIBLE
+    assert sol.iterations <= most
+
+
+def test_refusal_falls_back_to_the_approximate_ray():
+    # the 1e-4 test ends this run on a nearly singular x whose projection
+    # leaves the cone; without the fallback it ends numericalFailure. It
+    # also ends the run at test_refusal_is_one_solve's (4.2658, 3, 3), on
+    # the first iterate whose projection is an exact ray too
+    with pytest.raises(certify.CertificationError, match="ended infeasible"):
+        certify.certify_objective_rate(5.0, 10.0, 1.0)
 
 
 def test_raw_cholesky_matches_scipy_bitwise():
