@@ -176,6 +176,13 @@ _FACE_BASIS = np.array([
 ])
 
 
+def _bordered(a):
+    """a with one zero row and column appended (np.pad's result, cheaper)."""
+    out = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+    out[:-1, :-1] = a
+    return out
+
+
 def _rate_program(sense, const, rate, qs, lam=None):
     """const + t rate + R(lam) + sum s_i Q_i <= 0 as a LinearSdp on its face.
 
@@ -213,9 +220,9 @@ def _rate_program(sense, const, rate, qs, lam=None):
     tail = np.zeros((len(coefs), 2 * joint + len(fold)))
     tail[:n0, 2 * joint:] = -fold.T
     if joint:
-        u = np.pad(u, (0, 1))
+        u = _bordered(u)
         u[4, -1] = 1.0
-        coefs = [np.pad(m, (0, 1)) for m in coefs]
+        coefs = [_bordered(m) for m in coefs]
         coefs[0][4, 4] = -1.0
         coefs[2][:4, 4] = coefs[2][4, :4] = eta_vector(1.0)
         tail[0, :2] = LAM_MIN, -LAM_MAX

@@ -148,11 +148,19 @@ def assemble_oracles(inst):
     return oracle, layout, l_h
 
 
+def _csv_name(lam):
+    return f"trace_lambda_{lam:g}.csv"
+
+
 def check_sweep(lambdas, iter_budget):
-    """Reject a sweep whose lambdas do not all lie in (0, 2) or whose runs
-    would take no step."""
+    """Reject a sweep whose lambdas do not all lie in (0, 2), whose runs would
+    take no step, or two of whose lambdas share a CSV name."""
     if not all(0 < lam < 2 for lam in lambdas):
         raise ValueError("every lambda must lie in (0, 2)")
+    names = [_csv_name(lam) for lam in lambdas]
+    if len(set(names)) < len(names):
+        raise ValueError("two lambdas share the trace file name "
+                         f"{max(names, key=names.count)}")
     if not iter_budget >= 1:
         raise ValueError("the iteration budget must be at least 1")
 
@@ -176,7 +184,7 @@ def run_sweep(inst, lambdas, iter_budget, out_dir=None):
             "trace": trace,
         })
         if out_dir is not None:
-            trace.to_csv(f"{out_dir}/trace_lambda_{lam:g}.csv")
+            trace.to_csv(f"{out_dir}/{_csv_name(lam)}")
     if out_dir is not None:
         summary = [{k: v for k, v in rec.items() if k != "trace"}
                    for rec in results]

@@ -30,15 +30,19 @@ the scale of the data. Two tests look for the ray at each iteration:
 At that size an iteration costs library-call overhead more than
 arithmetic, so each iteration takes one eigendecomposition and one
 inverse Cholesky factor of x and of z, which its Newton system and its
-four step-length searches share, and calls LAPACK's Cholesky and
-eigenvalue routines directly rather than through the checking wrappers
-of scipy and numpy.
+four step-length searches share. Every factorisation, solve, inverse,
+eigenvalue and positive-definiteness test in the loop calls
+`scipy.linalg.lapack` directly (dpotrf, dpotrs, dgesv, dsyevd), never
+numpy.linalg: the checking wrappers cost more than these calls, and one
+LAPACK build then decides every result, where numpy and scipy may each
+link their own.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dgesv, dpotrf, dpotrs
 
 from .lmikit import eigvalsh, max_eig, sym_check
 
@@ -98,12 +102,15 @@ class SdpSolution:
     gap: float = 0.0
 
 
+def _norm(a):
+    """Frobenius norm, by numpy.linalg.norm's own formula."""
+    v = a.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def _is_pd(m):
-    try:
-        np.linalg.cholesky(m)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+    """True when LAPACK's Cholesky factorisation of m (lower) succeeds."""
+    return dpotrf(m, lower=1, clean=0)[1] == 0
 
 
 def _cho_factor(a):
@@ -133,10 +140,16 @@ def _cho_solve(c, b):
 def _inv_chol(m, w, eye):
     """Inverse Cholesky factor of m, lifted to be PD by its eigenvalues w.
 
-    w is ascending, as eigvalsh returns it.
+    w is ascending, as eigvalsh returns it. The factor is dpotrf's, and its
+    inverse the LU solve dgesv(L, I) that numpy.linalg.inv runs.
     """
-    ms = m + max(0.0, 1e-14 - w[0]) * eye
-    return np.linalg.inv(np.linalg.cholesky(ms))
+    lf, info = dpotrf(m + max(0.0, 1e-14 - w[0]) * eye, lower=1, clean=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+    li, info = dgesv(lf, eye)[2:]
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return li
 
 
 def _steplen(li, dx):
@@ -179,10 +192,10 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
     dmat = np.diag(deq)
     cmat = dmat @ cmat @ dmat
     amats = [dmat @ a @ dmat for a in amats]
-    s = np.array([max(np.linalg.norm(a), 1e-30) for a in amats])
+    s = np.array([max(_norm(a), 1e-30) for a in amats])
     amats = [a / si for a, si in zip(amats, s)]
     b = b / s
-    cscale = max(np.linalg.norm(cmat), 1.0)
+    cscale = max(_norm(cmat), 1.0)
     cmat = cmat / cscale
     b = b / cscale
 
@@ -209,8 +222,8 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
     x = np.eye(n)
     z = np.eye(n)
     y = np.zeros(m)
-    bn = 1.0 + np.linalg.norm(b)
-    cn = 1.0 + np.linalg.norm(cmat)
+    bn = 1.0 + _norm(b)
+    cn = 1.0 + _norm(cmat)
     best = None
     tag = "maxiter"
     noimp = 0
@@ -220,8 +233,8 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
         rp = b - ax
         rd = cmat - (y @ avec).reshape(n, n) - z
         mu = np.vdot(x, z) / n
-        pres = np.linalg.norm(rp) / bn
-        dres = np.linalg.norm(rd) / cn
+        pres = _norm(rp) / bn
+        dres = _norm(rd) / cn
         pobj, dobj = np.vdot(cmat, x), b @ y
         gap = abs(pobj - dobj) / (1.0 + abs(dobj) + abs(pobj))
         err = max(pres, dres, gap)
@@ -256,7 +269,7 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
             lx = _inv_chol(x, wx, eye)
             lz = _inv_chol(z, wz, eye)
             shift = 0.0 if wz[0] > 0 else (1e-14 - wz[0])
-            zi = _cho_solve(_cho_factor(z + shift * eye), eye)
+            zi = dpotrs(_cho_factor(z + shift * eye), eye)[0]
             zi = 0.5 * (zi + zi.T)
             zax = (zi @ astack @ x).reshape(m, n * n)
             mmat = avec @ zax.T

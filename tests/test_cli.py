@@ -273,7 +273,7 @@ def test_demo_lqr_outputs(tmp_path, capsys):
 
 def test_demo_lqr_bad_input_exit_code(tmp_path, capsys):
     for opts in (["--lambdas", "2.5"], ["--lambdas", "x"], ["--n", "0"],
-                 ["--iters", "0"]):
+                 ["--iters", "0"], ["--lambdas", "0.1234567,0.1234568"]):
         capsys.readouterr()
         code = cli.main(["demo-lqr", "--out", str(tmp_path), *opts])
         assert code == cli.EXIT_BAD_INPUT, opts

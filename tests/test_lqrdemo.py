@@ -213,6 +213,15 @@ def test_run_sweep_validates_lambda():
         lqrdemo.run_sweep(inst, [2.5], 10)
 
 
+def test_run_sweep_refuses_lambdas_that_share_a_csv(tmp_path):
+    # both would write trace_lambda_0.123457.csv, one file for two runs
+    inst = lqrdemo.build_instance(2, 3, 2, 4)
+    for lambdas in ([0.1234567, 0.1234568], [0.5, 0.5]):
+        with pytest.raises(ValueError, match="share the trace file name"):
+            lqrdemo.run_sweep(inst, lambdas, 5, out_dir=str(tmp_path))
+    assert not any(tmp_path.iterdir())
+
+
 def test_sweep_deterministic():
     inst = lqrdemo.build_instance(6, 4, 2, 5)
     r1 = lqrdemo.run_sweep(inst, [0.5], 30)

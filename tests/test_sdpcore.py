@@ -279,6 +279,14 @@ def test_raw_cholesky_matches_scipy_bitwise():
                     == cho_solve((ref, False), b).tobytes())
 
 
+def test_norm_matches_numpy_bitwise():
+    rng = np.random.default_rng(19)
+    for shape in ((1,), (7,), (3, 3), (8, 8), (5, 2)):
+        a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8)
+        for v in (a, a.T, a[::-1]):
+            assert sdpcore._norm(v) == np.linalg.norm(v)
+
+
 def test_raw_cholesky_refuses_bad_input():
     with pytest.raises(np.linalg.LinAlgError):
         sdpcore._cho_factor(np.diag([1.0, -1.0, 2.0]))
@@ -290,3 +298,102 @@ def test_raw_cholesky_refuses_bad_input():
             sdpcore._cho_factor(a)
         with pytest.raises(ValueError):
             sdpcore._cho_solve(c, np.array([1.0, bad, 0.0]))
+
+
+def _loop_outcomes(monkeypatch):
+    """Every solve of the analytic instances and of three certificate calls.
+
+    Undoes every monkeypatch once the solves are made.
+    """
+    solved = _recorded_solves(monkeypatch)
+    for prob, _ in analytic_instances():
+        sdpcore.solve_sdp(prob)
+    certify.certify_objective_rate(1.0, 1.0, 1.0)
+    with pytest.raises(certify.CertificationError, match="ended infeasible"):
+        certify.certify_objective_rate(5.0, 3.0, 3.0)
+    strong_g = certify.ProblemClasses(RegularityClass(0.0, math.inf),
+                                      RegularityClass(1.0, 10.0),
+                                      RegularityClass(0.0, 20.0))
+    certify.certify_linear_rate(0.2, strong_g)
+    monkeypatch.undo()
+    return [(s.status, s.y.tobytes(), s.iterations, s.slack, s.pres, s.dres,
+             s.gap) for s in solved]
+
+
+def test_loop_calls_no_numpy_linalg(monkeypatch):
+    # the IPM loop factors, inverts and tests definiteness through
+    # scipy.linalg.lapack alone, so numpy's LAPACK build cannot enter it
+    expected = _loop_outcomes(monkeypatch)
+
+    def banned(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("cholesky", "inv", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, banned)
+    assert _loop_outcomes(monkeypatch) == expected
+    assert len(expected) == 6
+
+
+def _helper_matrices(rng):
+    """(matrix, kind) pairs, n = 1-10, PD ones with condition up to 1e12."""
+    out = []
+    for n in range(1, 11):
+        for cond in (1.0, 1e4, 1e8, 1e12):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            w = np.geomspace(1.0, 1.0 / cond, n) * 10.0 ** rng.uniform(-3, 3)
+            out.append(((q * w) @ q.T, "pd"))
+            # a zero row and column: the pivot there is exactly zero
+            psd = (q * w) @ q.T
+            k = rng.integers(n)
+            psd[k, :] = psd[:, k] = 0.0
+            out.append((psd, "singular"))
+            w[rng.integers(n)] = -w[0]
+            out.append(((q * w) @ q.T, "indefinite"))
+        nan = np.eye(n)
+        nan[rng.integers(n), rng.integers(n)] = math.nan
+        out.append((nan, "nan"))
+    return [(0.5 * (m + m.T), kind) for m, kind in out]
+
+
+def _numpy_cholesky_succeeds(m):
+    try:
+        np.linalg.cholesky(m)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+def test_is_pd_agrees_with_numpy_cholesky():
+    kinds = set()
+    for m, kind in _helper_matrices(np.random.default_rng(13)):
+        ok = sdpcore._is_pd(m)
+        assert ok == _numpy_cholesky_succeeds(m), kind
+        if kind in ("pd", "singular", "indefinite"):
+            assert ok == (kind == "pd")
+        kinds.add(kind)
+    assert kinds == {"pd", "singular", "indefinite", "nan"}
+
+
+def test_inv_chol_is_the_inverse_factor():
+    for m, kind in _helper_matrices(np.random.default_rng(17)):
+        if kind != "pd":
+            continue
+        n = len(m)
+        w = np.linalg.eigvalsh(m)
+        li = sdpcore._inv_chol(m, w, np.eye(n))
+        # L is the factor of m lifted to smallest eigenvalue >= 1e-14
+        ms = m + max(0.0, 1e-14 - w[0]) * np.eye(n)
+        ws = np.linalg.eigvalsh(ms)
+        # the LU solve pivots, so L^-1 is lower triangular up to rounding;
+        # ms's conditioning bounds how near to I the product can come
+        tol = 10 * n * np.finfo(float).eps * ws[-1] / ws[0]
+        assert np.abs(np.triu(li, 1)).max() <= tol * np.abs(li).max()
+        assert np.abs(li @ ms @ li.T - np.eye(n)).max() <= tol
+
+
+def test_inv_chol_refuses_a_matrix_its_lift_leaves_indefinite():
+    # w claims a PD matrix, so no lift is made, and the factor breaks down
+    eye = np.eye(3)
+    for m in (np.diag([1.0, -1.0, 2.0]), np.zeros((3, 3))):
+        with pytest.raises(np.linalg.LinAlgError):
+            sdpcore._inv_chol(m, np.ones(3), eye)
