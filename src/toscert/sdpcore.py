@@ -27,22 +27,21 @@ the scale of the data. Two tests look for the ray at each iteration:
 `feasibility_margin` stays as a public strict-feasibility oracle: it hands
 `solve_sdp` the program with one more variable t, so `_ipm` has one caller.
 
-At that size an iteration costs library-call overhead more than
-arithmetic, so each iteration takes one eigendecomposition and one
-inverse Cholesky factor of x and of z, which its Newton system and its
-four step-length searches share. Every factorisation, solve, inverse,
-eigenvalue and positive-definiteness test in the loop calls
-`scipy.linalg.lapack` directly (dpotrf, dpotrs, dgesv, dsyevd), never
-numpy.linalg: the checking wrappers cost more than these calls, and one
-LAPACK build then decides every result, where numpy and scipy may each
-link their own.
+At that size an iteration costs library calls more than arithmetic. Each
+iterate keeps the lower Cholesky factor from the dpotrf that accepted its
+step (x and z are factored afresh only after a centrality restart or a
+refused step); dtrtri inverts it, Z^-1 = L_z^-T L_z^-1, and the Newton
+system and the four step lengths share these. Eigenvalues are taken only
+for step lengths, the projected ray and the 1e-14 lift after a failed
+factor. The loop calls `scipy.linalg.lapack` alone, never numpy.linalg, so
+one LAPACK build decides every result.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .lmikit import eigvalsh, max_eig, sym_check
 
@@ -108,11 +107,6 @@ def _norm(a):
     return math.sqrt(v.dot(v))
 
 
-def _is_pd(m):
-    """True when LAPACK's Cholesky factorisation of m (lower) succeeds."""
-    return dpotrf(m, lower=1, clean=0)[1] == 0
-
-
 def _cho_factor(a):
     """Upper Cholesky factor of a, as scipy.linalg.cho_factor computes it."""
     if not np.isfinite(a).all():
@@ -137,28 +131,38 @@ def _cho_solve(c, b):
     return x
 
 
-def _inv_chol(m, w, eye):
-    """Inverse Cholesky factor of m, lifted to be PD by its eigenvalues w.
+def _chol(m):
+    """Lower dpotrf factor of m, lifted to eigenvalues >= 1e-14 if it fails."""
+    f, info = dpotrf(m, lower=1, clean=1)
+    if info:
+        lift = max(0.0, 1e-14 - eigvalsh(m)[0])
+        f, info = dpotrf(m + lift * np.eye(len(m)), lower=1, clean=1)
+        if info:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+    return f
 
-    w is ascending, as eigvalsh returns it. The factor is dpotrf's, and its
-    inverse the LU solve dgesv(L, I) that numpy.linalg.inv runs.
+
+def _step(m, dm, a):
+    """(a, m + a*dm, its lower factor), a halved until dpotrf succeeds.
+
+    (0.0, m, None) when nothing down to a <= 1e-12 is PD. dpotrf accepts
+    a NaN, so a factor that is not finite raises LinAlgError.
     """
-    lf, info = dpotrf(m + max(0.0, 1e-14 - w[0]) * eye, lower=1, clean=1)
-    if info > 0:
-        raise np.linalg.LinAlgError("matrix is not positive definite")
-    li, info = dgesv(lf, eye)[2:]
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    return li
+    while True:
+        s = m + a * dm
+        f, info = dpotrf(s, lower=1, clean=1)
+        if not info:
+            if not np.isfinite(f).all():
+                raise np.linalg.LinAlgError("step is not finite")
+            return a, s, f
+        if not a > 1e-12:
+            return 0.0, m, None
+        a *= 0.5
 
 
 def _steplen(li, dx):
-    """Largest step a with x + a*dx still positive definite (capped at 1e6).
-
-    li is the inverse Cholesky factor of x from _inv_chol.
-    """
-    s = li @ dx @ li.T
-    lam = eigvalsh(0.5 * (s + s.T))[0]
+    """Largest a <= 1e6 keeping x + a*dx PD; li is x's inverse lower factor."""
+    lam = eigvalsh(li @ dx @ li.T)[0]  # dsyevd reads only the lower half
     return 1e6 if lam >= -1e-14 else -1.0 / lam
 
 
@@ -221,6 +225,7 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
     eye_m = np.eye(m)
     x = np.eye(n)
     z = np.eye(n)
+    fx = fz = None
     y = np.zeros(m)
     bn = 1.0 + _norm(b)
     cn = 1.0 + _norm(cmat)
@@ -263,26 +268,26 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
             tag = "stall"
             break
         try:
-            # x and z stay fixed until the step: factor each once
-            wx = eigvalsh(x)
-            wz = eigvalsh(z)
-            lx = _inv_chol(x, wx, eye)
-            lz = _inv_chol(z, wz, eye)
-            shift = 0.0 if wz[0] > 0 else (1e-14 - wz[0])
-            zi = dpotrs(_cho_factor(z + shift * eye), eye)[0]
-            zi = 0.5 * (zi + zi.T)
+            # one lower factor per iterate, kept from the step that made it;
+            # its dtrtri inverse serves the Newton system and the step lengths
+            fx = _chol(x) if fx is None else fx
+            fz = _chol(z) if fz is None else fz
+            lx = dtrtri(fx, lower=1)[0]
+            lz = dtrtri(fz, lower=1)[0]
+            zi = lz.T @ lz
             zax = (zi @ astack @ x).reshape(m, n * n)
             mmat = avec @ zax.T
             mmat = 0.5 * (mmat + mmat.T)
             reg = 1e-13 * max(np.trace(mmat) / m, 1.0)
-            mc = _cho_factor(mmat + reg * eye_m)
+            mc, info = dpotrf(mmat + reg * eye_m, clean=0)
+            if info:
+                raise np.linalg.LinAlgError("Schur matrix is not PD")
             rdx = rd @ x
 
             def newton(sigmu, corr):
                 szx = sigmu * zi - x
-                base = szx - zi @ (rdx + corr)
-                rhs = rp - avec @ (0.5 * (base + base.T)).ravel()
-                dy = _cho_solve(mc, rhs)
+                base = szx - zi @ (rdx + corr)  # every A_i is symmetric
+                dy = dpotrs(mc, rp - avec @ base.ravel())[0]
                 dz = rd - (dy @ avec).reshape(n, n)
                 dxr = szx - zi @ (dz @ x + corr)
                 return dy, 0.5 * (dxr + dxr.T), dz
@@ -293,17 +298,11 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
             mu_aff = np.vdot(x + ap * dx_a, z + ad * dz_a) / n
             sigma = min(max((max(mu_aff, 0.0) / mu) ** 3, 1e-10), 1.0)
             dy, dx, dz = newton(sigma * mu, dz_a @ dx_a)
-            ap = min(0.98 * _steplen(lx, dx), 1.0)
-            ad = min(0.98 * _steplen(lz, dz), 1.0)
-            while not _is_pd(x + ap * dx) and ap > 1e-12:
-                ap *= 0.5
-            while not _is_pd(z + ad * dz) and ad > 1e-12:
-                ad *= 0.5
+            ap, x, fx = _step(x, dx, min(0.98 * _steplen(lx, dx), 1.0))
+            ad, z, fz = _step(z, dz, min(0.98 * _steplen(lz, dz), 1.0))
             if ap <= 1e-12 and ad <= 1e-12:
                 tag = "stall"
                 break
-            x = x + ap * dx
-            z = z + ad * dz
             y = y + ad * dy
             # centrality recovery: if mu collapsed far below the duality gap
             # the iterate is jammed on the boundary; lift it back toward the
@@ -314,6 +313,7 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
                 delta = np.sqrt(gn / n)
                 x = x + delta * eye
                 z = z + delta * eye
+                fx = fz = None
                 restarts += 1
         except np.linalg.LinAlgError:
             tag = STATUS_NUMERICAL_FAILURE

@@ -1,15 +1,20 @@
 """Tests for the dense LMI interior-point engine."""
 
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from toscert import certify, sdpcore
-from toscert.lmikit import RegularityClass, build_qc_triplet, build_w0
-from toscert.sdpcore import (LinearSdp, STATUS_INFEASIBLE, STATUS_OPTIMAL,
+from toscert.lmikit import (RegularityClass, build_qc_triplet, build_w0,
+                           eigvalsh)
+from toscert.sdpcore import (LinearSdp, STATUS_INFEASIBLE,
+                             STATUS_NUMERICAL_FAILURE, STATUS_OPTIMAL,
                              analytic_instances, feasibility_margin, solve_sdp)
 
 
@@ -190,7 +195,7 @@ def test_steplen_matches_brute_force():
             pairs.append((x, b + b.T - push, False))
             pairs.append((x, b @ b.T, True))
     for x, dx, psd in pairs:
-        li = sdpcore._inv_chol(x, np.linalg.eigvalsh(x), np.eye(len(x)))
+        li = sdpcore.dtrtri(sdpcore._chol(x), lower=1)[0]
         a = sdpcore._steplen(li, dx)
         if psd:
             assert a == 1e6
@@ -355,45 +360,146 @@ def _helper_matrices(rng):
     return [(0.5 * (m + m.T), kind) for m, kind in out]
 
 
-def _numpy_cholesky_succeeds(m):
-    try:
-        np.linalg.cholesky(m)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+def _lower_factor(m):
+    """dpotrf's lower factor of m, or None where dpotrf fails."""
+    f, info = dpotrf(m, lower=1, clean=1)
+    return None if info else f
 
 
-def test_is_pd_agrees_with_numpy_cholesky():
+def test_chol_lifts_only_after_a_failed_factor(monkeypatch):
+    lifts = []
+
+    def recorded(m):
+        lifts.append(m)
+        return eigvalsh(m)
+
+    monkeypatch.setattr(sdpcore, "eigvalsh", recorded)
     kinds = set()
     for m, kind in _helper_matrices(np.random.default_rng(13)):
-        ok = sdpcore._is_pd(m)
-        assert ok == _numpy_cholesky_succeeds(m), kind
-        if kind in ("pd", "singular", "indefinite"):
-            assert ok == (kind == "pd")
-        kinds.add(kind)
-    assert kinds == {"pd", "singular", "indefinite", "nan"}
+        if kind == "nan":
+            continue
+        del lifts[:]
+        f = _lower_factor(m)
+        assert (f is not None) == (kind == "pd")
+        if f is None:
+            lift = max(0.0, 1e-14 - eigvalsh(m)[0])
+            f = _lower_factor(m + lift * np.eye(len(m)))
+        if f is None:
+            # the lift is too small for the rounding of a large matrix
+            with pytest.raises(np.linalg.LinAlgError):
+                sdpcore._chol(m)
+        else:
+            assert sdpcore._chol(m).tobytes() == f.tobytes()
+            kinds.add(kind)
+        assert len(lifts) == (kind != "pd")
+    assert kinds == {"pd", "singular", "indefinite"}
 
 
-def test_inv_chol_is_the_inverse_factor():
+def test_chol_refuses_a_matrix_its_lift_leaves_indefinite(monkeypatch):
+    # the eigenvalues claim a PD matrix, so no lift is made, and the factor
+    # breaks down again
+    monkeypatch.setattr(sdpcore, "eigvalsh", lambda m: np.ones(len(m)))
+    for m in (np.diag([1.0, -1.0, 2.0]), np.zeros((3, 3))):
+        with pytest.raises(np.linalg.LinAlgError):
+            sdpcore._chol(m)
+
+
+def test_dtrtri_inverts_the_factor():
     for m, kind in _helper_matrices(np.random.default_rng(17)):
         if kind != "pd":
             continue
         n = len(m)
+        li = sdpcore.dtrtri(sdpcore._chol(m), lower=1)[0]
+        assert not np.triu(li, 1).any()
         w = np.linalg.eigvalsh(m)
-        li = sdpcore._inv_chol(m, w, np.eye(n))
-        # L is the factor of m lifted to smallest eigenvalue >= 1e-14
-        ms = m + max(0.0, 1e-14 - w[0]) * np.eye(n)
-        ws = np.linalg.eigvalsh(ms)
-        # the LU solve pivots, so L^-1 is lower triangular up to rounding;
-        # ms's conditioning bounds how near to I the product can come
-        tol = 10 * n * np.finfo(float).eps * ws[-1] / ws[0]
-        assert np.abs(np.triu(li, 1)).max() <= tol * np.abs(li).max()
-        assert np.abs(li @ ms @ li.T - np.eye(n)).max() <= tol
+        tol = 10 * n * np.finfo(float).eps * w[-1] / w[0]
+        assert np.abs(li @ m @ li.T - np.eye(n)).max() <= tol
 
 
-def test_inv_chol_refuses_a_matrix_its_lift_leaves_indefinite():
-    # w claims a PD matrix, so no lift is made, and the factor breaks down
-    eye = np.eye(3)
-    for m in (np.diag([1.0, -1.0, 2.0]), np.zeros((3, 3))):
+def test_step_keeps_the_factor_that_accepted_it():
+    kinds = set()
+    for target, kind in _helper_matrices(np.random.default_rng(23)):
+        if kind == "nan":
+            continue
+        n = len(target)
+        m = np.eye(n)
+        dm = target - m
+        a, s, f = sdpcore._step(m, dm, 1.0)
+        # a is the first of 1, 1/2, 1/4, ... that dpotrf accepts
+        assert a > 0 and math.log2(a) == round(math.log2(a))
+        assert s.tobytes() == (m + a * dm).tobytes()
+        assert f.tobytes() == _lower_factor(s).tobytes()
+        if a < 1.0:
+            assert _lower_factor(m + 2 * a * dm) is None
+        if kind == "pd":
+            assert a == 1.0
+        kinds.add(kind)
+    assert kinds == {"pd", "singular", "indefinite"}
+
+
+def test_step_refuses_nan_and_steps_nowhere_without_a_pd_point():
+    m = np.diag([1.0, 1e-30])
+    a, s, f = sdpcore._step(m, -np.eye(2), 1.0)
+    assert (a, s, f) == (0.0, m, None)
+    # dpotrf accepts these NaN steps; the finiteness check refuses them
+    nan_off = np.array([[0.0, math.nan], [math.nan, 0.0]])
+    for dm, a in ((nan_off, 1.0), (nan_off, 1e-13), (np.eye(2), math.nan)):
         with pytest.raises(np.linalg.LinAlgError):
-            sdpcore._inv_chol(m, np.ones(3), eye)
+            sdpcore._step(np.eye(2), dm, a)
+
+
+@pytest.mark.parametrize("bad_call", [2, 3])
+def test_a_nan_in_the_loop_ends_numerical_failure(monkeypatch, bad_call):
+    # the pre-loop projection makes the first dpotrs call, so the second and
+    # third are the predictor's and the corrector's Newton solves
+    calls = [0]
+
+    def nan_once(*args, **kwargs):
+        calls[0] += 1
+        out = dpotrs(*args, **kwargs)
+        if calls[0] == bad_call:
+            return (np.full_like(out[0], math.nan),) + out[1:]
+        return out
+
+    monkeypatch.setattr(sdpcore, "dpotrs", nan_once)
+    for prob, _ in analytic_instances():
+        calls[0] = 0
+        assert solve_sdp(prob).status == STATUS_NUMERICAL_FAILURE
+
+
+def test_loop_takes_eigenvalues_only_for_steps_rays_and_lifts(monkeypatch):
+    # the loop's factors come from dpotrf, so outside _steplen an eigenvalue
+    # is taken only for a projected ray (in _ipm) or a lift (in _chol)
+    callers = Counter()
+
+    def recorded(m):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return eigvalsh(m)
+
+    monkeypatch.setattr(sdpcore, "eigvalsh", recorded)
+    solved = _recorded_solves(monkeypatch)
+    for prob, _ in analytic_instances():
+        sdpcore.solve_sdp(prob)
+    certify.certify_objective_rate(1.0, 1.0, 1.0)
+    iters = sum(sol.iterations for sol in solved)
+    assert callers == {"_steplen": 4 * iters}
+    with pytest.raises(certify.CertificationError, match="ended infeasible"):
+        certify.certify_objective_rate(5.0, 3.0, 3.0)
+    assert callers["_steplen"] == 4 * sum(sol.iterations for sol in solved)
+    assert set(callers) == {"_steplen", "_ipm"}
+
+
+@pytest.mark.parametrize("alpha, lf, lh, iters", [
+    ("0x1.a42cc1e6ab476p+0", 10.0, 3.0, 20),    # seeded_grid(..., 1)[22]
+    ("0x1.d327f4fdc82ebp-2", 30.0, 10.0, 17)])  # seeded_grid(..., 2)[14]
+def test_nearly_feasible_refusals_end_infeasible(monkeypatch, alpha, lf, lh,
+                                                 iters):
+    # two objective-surface points whose runs ended numericalFailure while
+    # the loop refactored each step; they meet the scaled tolerances but
+    # have audit slack near 1e-6
+    solved = _recorded_solves(monkeypatch)
+    with pytest.raises(certify.CertificationError, match="ended infeasible"):
+        certify.certify_objective_rate(float.fromhex(alpha), lf, lh)
+    (sol,) = solved
+    assert sol.status == STATUS_INFEASIBLE
+    assert sol.iterations == iters

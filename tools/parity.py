@@ -6,17 +6,21 @@
 `dump` imports `toscert` from `src/` of the tree this file sits in and
 wraps `sdpcore.solve_sdp`. It then runs the operations of
 `objective-surface` at seeds 0-3 and of `linear-duality` at seed 0, with
-inputs from `perfbench.workloads`, and the residual-rate grid (lambda
-joint, 0.5, 1.0 and 1.5 over the surface's stepsizes). For each solve it
-writes the status, the bytes of y, the iteration count, the audit slack,
-the objective and the residuals pres, dres and gap. For each operation it
-writes the rates issued (None for a refusal).
+inputs from `perfbench.workloads`, the residual-rate grid (lambda
+joint, 0.5, 1.0 and 1.5 over the surface's stepsizes) and `sdpcore-cases`:
+`sdpcore.analytic_instances()` and the `feasibility_margin` programs of
+the tests, whose data runs up to 1e6. For each solve it writes the
+status, the bytes of y, the iteration count, the audit slack, the
+objective and the residuals pres, dres and gap. For each operation it
+writes the rates issued (None for a refusal); an `sdpcore-cases`
+operation issues its optimal value or margin.
 
 `diff` matches solves by section, operation and order within the
-operation, and prints, per section: how many are identical, how many
-differ only in their bits (same status), each status transition, the
-total iterations, the certificates issued and the largest change in an
-issued rate. It exits 1 when any solve differs.
+operation, and prints, per section and in total: how many are identical,
+how many differ only in their bits (same status), each status
+transition, the total iterations, the undecided solves (`maxIterations`
+and `numericalFailure`) of each side, the certificates issued and the
+largest change in an issued rate. It exits 1 when any solve differs.
 
 To compare two commits, copy this file into a checkout of each and run
 `dump` there.
@@ -35,6 +39,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SURFACE_SEEDS = (0, 1, 2, 3)
 RESIDUAL_LAMBDAS = (None, 0.5, 1.0, 1.5)
+UNDECIDED = ("maxIterations", "numericalFailure")
 
 
 def _sections():
@@ -64,6 +69,29 @@ def _sections():
             certify.certify_residual_rate, alpha, lam, case1)
     yield ("residual-grid", [residual(a, lam) for lam in RESIDUAL_LAMBDAS
                              for a in alphas], theta)
+    yield ("sdpcore-cases", list(_sdpcore_cases()), lambda value: [value])
+
+
+def _sdpcore_cases():
+    """The analytic instances' objectives and the margins of the tests."""
+    import numpy as np
+    from toscert import lmikit, sdpcore
+
+    for prob, _ in sdpcore.analytic_instances():
+        yield lambda prob=prob: sdpcore.solve_sdp(prob).objective
+    for a in (-1.0, 1.0, 2e4, 1e6):
+        yield lambda a=a: sdpcore.feasibility_margin(np.array([[a]]), [],
+                                                     [])[0]
+    # test_certificate_margin_tracks_theta's programs, theta* times 0.9, 1.5
+    lam, lh = 0.5, 1.0
+    alpha = (2.0 - lam) / lh
+    cls = lmikit.RegularityClass(0.0, math.inf)
+    qs = list(lmikit.build_qc_triplet(alpha, cls, cls,
+                                      lmikit.RegularityClass(0.0, lh)))
+    theta_star = (2.0 - lam) ** 3 * lam / (2.0 * lh ** 2)
+    for f in (0.9, 1.5):
+        w0 = lmikit.build_w0(lam, f * theta_star, alpha)
+        yield lambda w0=w0: sdpcore.feasibility_margin(w0, qs, [True] * 3)[0]
 
 
 def dump(out):
@@ -99,32 +127,52 @@ def dump(out):
         json.dump(record, fh)
 
 
-def _compare(rows_a, rows_b):
-    """Counts and rate changes of one section between two records."""
-    same = bits = 0
-    moves = Counter()
-    iters = [0, 0]
-    issued = [0, 0]
-    worst = 0.0
+def _compare(rows_a, rows_b, total):
+    """Counts and rate changes of one section, also added into total.
+
+    Returns the section's status transitions as (operation, solve, a, b).
+    """
+    count = Counter()
+    moves = []
     unmatched = abs(len(rows_a) - len(rows_b))
-    for ra, rb in zip(rows_a, rows_b):
+    for op, (ra, rb) in enumerate(zip(rows_a, rows_b)):
         unmatched += abs(len(ra["solves"]) - len(rb["solves"]))
-        for sa, sb in zip(ra["solves"], rb["solves"]):
+        for k, (sa, sb) in enumerate(zip(ra["solves"], rb["solves"])):
             if sa == sb:
-                same += 1
+                count["same"] += 1
             elif sa["status"] == sb["status"]:
-                bits += 1
+                count["bits"] += 1
             else:
-                moves[sa["status"], sb["status"]] += 1
-        for side, row in enumerate((ra, rb)):
-            iters[side] += sum(s["iterations"] for s in row["solves"])
-            issued[side] += sum(r is not None for r in row["rates"])
+                moves.append((op, k, sa, sb))
+        for side, row in zip("ab", (ra, rb)):
+            for sol in row["solves"]:
+                count["iters_" + side] += sol["iterations"]
+                count["undecided_" + side] += sol["status"] in UNDECIDED
+            count["issued_" + side] += sum(r is not None for r in row["rates"])
         for a, b in zip(ra["rates"], rb["rates"]):
             if a is not None and b is not None:
-                worst = max(worst, abs(float.fromhex(a) - float.fromhex(b)))
-            elif (a is None) != (b is None):
-                worst = math.inf
-    return same, bits, moves, iters, issued, worst, unmatched
+                change = abs(float.fromhex(a) - float.fromhex(b))
+            else:
+                change = 0.0 if a == b else math.inf
+            count["worst"] = max(count["worst"], change)
+    count["moves"] = len(moves)
+    count["unmatched"] = unmatched
+    for key, value in count.items():
+        if key == "worst":
+            total[key] = max(total[key], value)
+        else:
+            total[key] += value
+    return count, moves
+
+
+def _report(name, c):
+    print(f"{name}: {c['same']} identical, {c['bits']} differ only in bits, "
+          f"{c['moves']} change status; iterations {c['iters_a']} -> "
+          f"{c['iters_b']}; undecided {c['undecided_a']} -> "
+          f"{c['undecided_b']}; issued {c['issued_a']} -> {c['issued_b']}; "
+          f"largest rate change {c['worst']:.3g}")
+    if c["unmatched"]:
+        print(f"    {c['unmatched']} operations or solves have no counterpart")
 
 
 def diff(path_a, path_b):
@@ -133,22 +181,20 @@ def diff(path_a, path_b):
     with open(path_b) as fh:
         rec_b = json.load(fh)
     clean = True
+    total = Counter()
     for name in rec_a:
         if name not in rec_b:
             print(f"{name}: missing from {path_b}")
             clean = False
             continue
-        same, bits, moves, iters, issued, worst, unmatched = _compare(
-            rec_a[name], rec_b[name])
-        print(f"{name}: {same} identical, {bits} differ only in bits, "
-              f"{sum(moves.values())} change status; iterations "
-              f"{iters[0]} -> {iters[1]}; issued {issued[0]} -> {issued[1]}; "
-              f"largest rate change {worst:.3g}")
-        for (sa, sb), count in sorted(moves.items()):
-            print(f"    {sa} -> {sb}: {count}")
-        if unmatched:
-            print(f"    {unmatched} operations or solves have no counterpart")
-        clean = clean and not (bits or moves or unmatched)
+        count, moves = _compare(rec_a[name], rec_b[name], total)
+        _report(name, count)
+        for op, k, sa, sb in moves:
+            print(f"    operation {op} solve {k}: {sa['status']} in "
+                  f"{sa['iterations']} -> {sb['status']} in "
+                  f"{sb['iterations']} iterations")
+        clean = clean and not (count["bits"] or moves or count["unmatched"])
+    _report("total", total)
     return 0 if clean else 1
 
 
