@@ -17,8 +17,8 @@ from . import sdpcore
 # build_w2 and schur_extend are unused here; the traced benchmark patches them
 from .lmikit import (RATE_E, RELAX_LIN, RegularityClass, build_dual_data,
                      build_qc_triplet, build_w0, build_w1, build_w2,
-                     eta_vector, max_eig, relaxation, schur_extend, w0_rate,
-                     w1_slope)
+                     eta_vector, max_eig, nsd_directions, relaxation,
+                     schur_extend, w0_rate, w1_slope)
 
 LAM_MIN = 1e-6
 LAM_MAX = 4.0
@@ -100,32 +100,21 @@ def _qc_mats(alpha, classes):
     return list(build_qc_triplet(alpha, classes.f, classes.g, classes.h))
 
 
-def _reduce_nsd(mats, dim):
-    """Drop matrices that are NSD on the running subspace.
+def _face(alpha, classes, g=None):
+    """Kept indices and orthonormal columns U of the face sigma_i = inf leaves.
 
-    An NSD constraint matrix lets its multiplier grow without bound, so the
-    optimum lives in the limit where the LMI is projected onto the orthogonal
-    complement of the matrix's negative directions. Returns (kept indices,
-    orthonormal columns U of the final subspace).
+    Q_i is NSD exactly when its class has m == L, and then
+    Q_i = -(1/2m) s_i s_i^T (lmikit.nsd_directions): its multiplier's optimum
+    escapes to infinity, which leaves the LMI on s_i-perp. Every other Q_i
+    keeps a finite multiplier, however close its m is to L. With g, the
+    face is that of the matrices g^T Q_i g, orthogonal to every g^T s_i.
     """
-    u = np.eye(dim)
-    keep = list(range(len(mats)))
-    changed = True
-    while changed and u.shape[1] > 0:
-        changed = False
-        for i in list(keep):
-            m = u.T @ mats[i] @ u
-            ev, vecs = np.linalg.eigh(m)
-            tol = 1e-10 * max(np.abs(ev).max(), 1e-30)
-            if ev[-1] <= tol:
-                keep.remove(i)
-                neg = vecs[:, ev < -tol]
-                if neg.shape[1] > 0:
-                    w = null_space(neg.T)
-                    u = u @ w if w.shape[1] > 0 else u[:, :0]
-                changed = True
-                break
-    return keep, u
+    dirs = nsd_directions(alpha, classes.f, classes.g, classes.h)
+    keep = [i for i in range(3) if i not in dirs]
+    if not dirs:
+        return keep, np.eye(4)
+    rows = np.array(list(dirs.values()))
+    return keep, null_space(rows if g is None else rows @ g)
 
 
 def symbolic_sublinear(lam, Lh):
@@ -137,9 +126,8 @@ def symbolic_sublinear(lam, Lh):
     alpha = (2.0 - lam) / Lh
     theta = (2.0 - lam) ** 3 * lam / (2.0 * Lh ** 2)
     sig = 2.0 * lam / alpha
-    classes = _case1_classes(Lh)
-    margin = audit(build_w0(lam, theta, alpha), (sig, sig, sig),
-                   _qc_mats(alpha, classes))
+    margin = audit(build_w0(lam, theta, alpha), (sig, sig, sig), alpha,
+                   _case1_classes(Lh))
     return RateCertificate(
         mode=MODE_RESIDUAL, alpha=alpha, lam=lam, sigma=(sig, sig, sig),
         margin=margin, provenance="symbolic", theta=theta)
@@ -183,7 +171,7 @@ def _bordered(a):
     return out
 
 
-def _rate_program(sense, const, rate, qs, lam=None):
+def _rate_program(sense, const, rate, alpha, classes, lam=None):
     """const + t rate + R(lam) + sum s_i Q_i <= 0 as a LinearSdp on its face.
 
     t >= 0 is the rate, minimized for sense = 1 and maximized for sense = -1;
@@ -194,10 +182,12 @@ def _rate_program(sense, const, rate, qs, lam=None):
     data: if _FACE_V is isotropic for every coefficient, M v = 0 fixes
     s = S (1, t[, lam]), S is folded into the coefficients, s >= 0 sits on the
     diagonal and the LMI is kept on _FACE_BASIS; otherwise the s_i >= 0 are
-    variables, and s_i = inf for each Q_i that _reduce_nsd drops. Directions
-    every coefficient annihilates are then projected out. Returns the program
-    and a map from its solution to (t, lam, s).
+    variables, except s_i = inf for each Q_i whose class has m == L: the LMI
+    is then kept on _face. Directions every coefficient annihilates are then
+    projected out. Returns the program and a map from its solution to
+    (t, lam, s).
     """
+    qs = _qc_mats(alpha, classes)
     joint = lam is None
     if joint:
         coefs = [const, rate, RELAX_LIN]
@@ -215,7 +205,7 @@ def _rate_program(sense, const, rate, qs, lam=None):
         keep, u = [], _FACE_BASIS
     else:
         fold = np.zeros((0, n0))
-        keep, u = _reduce_nsd(qs, 4)
+        keep, u = _face(alpha, classes)
         coefs += [qs[i] for i in keep]
     tail = np.zeros((len(coefs), 2 * joint + len(fold)))
     tail[:n0, 2 * joint:] = -fold.T
@@ -270,9 +260,8 @@ def certify_residual_rate(alpha, lam, classes,
         raise CertificationError("alpha must be positive")
     if lam is not None and not lam > 0:
         raise CertificationError("lam must be positive")
-    qs = _qc_mats(alpha, classes)
     prob, unpack = _rate_program(-1.0, np.zeros((4, 4)), w0_rate(1.0, alpha),
-                                 qs, lam)
+                                 alpha, classes, lam)
     sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
     # a cut solve's y says nothing of theta, so its status goes first
     if sol.status not in (sdpcore.STATUS_OPTIMAL, sdpcore.STATUS_INFEASIBLE):
@@ -281,7 +270,7 @@ def certify_residual_rate(alpha, lam, classes,
     theta, lam_out, sigma = unpack(sol)
     if sol.status == sdpcore.STATUS_INFEASIBLE or theta <= 0:
         raise CertificationError("no positive theta at this (alpha, lam)")
-    margin = audit(build_w0(lam_out, theta, alpha), sigma, qs)
+    margin = audit(build_w0(lam_out, theta, alpha), sigma, alpha, classes)
     return RateCertificate(
         mode=MODE_RESIDUAL, alpha=alpha, lam=lam_out, sigma=sigma,
         margin=margin, provenance="sdp", theta=theta)
@@ -304,9 +293,8 @@ def certify_objective_rate(alpha, Lf, Lh, feas_tol=sdpcore.DEFAULT_FEAS_TOL,
     classes = ProblemClasses(RegularityClass(0.0, Lf),
                              RegularityClass(0.0, math.inf),
                              RegularityClass(0.0, Lh))
-    qs = _qc_mats(alpha, classes)
     prob, unpack = _rate_program(-1.0, np.zeros((4, 4)),
-                                 w1_slope(alpha, Lf, Lh), qs)
+                                 w1_slope(alpha, Lf, Lh), alpha, classes)
     sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
     if sol.status != sdpcore.STATUS_OPTIMAL:
         raise CertificationError(
@@ -314,7 +302,8 @@ def certify_objective_rate(alpha, Lf, Lh, feas_tol=sdpcore.DEFAULT_FEAS_TOL,
     theta, lam, sigma = unpack(sol)
     if theta <= 0:
         raise CertificationError("no positive theta at this alpha")
-    margin = audit(build_w1(lam, theta, alpha, Lf, Lh), sigma, qs)
+    margin = audit(build_w1(lam, theta, alpha, Lf, Lh), sigma, alpha,
+                   classes)
     return RateCertificate(
         mode=MODE_OBJECTIVE, alpha=alpha, lam=lam, sigma=sigma,
         margin=margin, provenance="sdp", theta=theta)
@@ -326,34 +315,37 @@ def linear_rate_value(alpha, classes, lam=None,
                       max_iter=sdpcore.DEFAULT_MAX_ITER):
     """Optimal rho2 of the linear-rate program, unclipped.
 
-    Returns (rho2, lam, sigma, status); eliminated degenerate QCs take the
-    multiplier inf. With lam=None the relaxation is optimized jointly (Schur
-    extension, lam in [LAM_MIN, LAM_MAX]); otherwise lam is pinned.
+    Returns (rho2, lam, sigma, status); sigma_i = inf exactly for each class
+    with m == L (see _face). With lam=None the relaxation is optimized
+    jointly (Schur extension, lam in [LAM_MIN, LAM_MAX]); otherwise lam is
+    pinned.
     """
     if not alpha > 0:
         raise CertificationError("alpha must be positive")
     if not check_assumption1(classes):
         raise CertificationError("assumption1 violated")
-    prob, unpack = _rate_program(1.0, RATE_E, -RATE_E,
-                                 _qc_mats(alpha, classes), lam)
+    prob, unpack = _rate_program(1.0, RATE_E, -RATE_E, alpha, classes, lam)
     sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
     return (*unpack(sol), sol.status)
 
 
-def audit(w, sigma, qs):
+def audit(w, sigma, alpha, classes):
     """Audit margin of a certificate: top eigenvalue of W + sum sigma_i Q_i.
 
     One audit serves every mode: w is the mode's 4x4 W0, W1 or W2, also
-    where the program is Schur-extended. An infinite sigma_i is the limit in
-    which Q_i is NSD: the LMI is then checked on the subspace _reduce_nsd
-    leaves, orthogonal to the negative directions of the eliminated Q_i.
+    where the program is Schur-extended; the Q_i are those of (alpha,
+    classes). An infinite sigma_i is the limit of an NSD Q_i, whose class
+    has m == L: the LMI is then checked on _face(alpha, classes). For a
+    class with m != L it proves nothing, and the margin is inf.
     """
     m = w
-    for s, q in zip(sigma, qs):
+    for s, q in zip(sigma, _qc_mats(alpha, classes)):
         if math.isfinite(s):
             m = m + s * q
     if not all(math.isfinite(s) for s in sigma):
-        _, u = _reduce_nsd(qs, 4)
+        keep, u = _face(alpha, classes)
+        if any(math.isinf(sigma[i]) for i in keep):
+            return math.inf
         m = u.T @ m @ u
     return max_eig(m)
 
@@ -378,7 +370,7 @@ def certify_linear_rate(alpha, classes, lam=None,
         raise CertificationError("no linear certificate at this alpha")
     # W_O - rho2 W_I is W2 also at the rho2 <= 0 of a solve cut short
     w_o, w_i, _ = build_dual_data(lam_out)
-    margin = audit(w_o - rho2 * w_i, sigma, _qc_mats(alpha, classes))
+    margin = audit(w_o - rho2 * w_i, sigma, alpha, classes)
     # a solve cut short may stop at a rate its multipliers do not prove
     if margin > feas_tol:
         raise CertificationError(
@@ -395,21 +387,19 @@ def dual_linear_rate(alpha, lam, classes, feas_tol=sdpcore.DEFAULT_FEAS_TOL,
     """Optimal value of the dual rate program at fixed (alpha, lam).
 
     Maximizes Tr(G^T W_O G Z) over Z >= 0 with the trace normalization and
-    the scalar QC inequalities. Degenerate (NSD) QC matrices force Z onto
-    their null directions and are eliminated up front.
+    the scalar QC inequalities. The G^T Q_i G of a class with m == L is
+    -(1/2m) (G^T s_i)(G^T s_i)^T, so tr(G^T Q_i G Z) >= 0 forces Z onto the
+    face orthogonal to G^T s_i (_face with g = G); it is eliminated up front.
     """
     if not check_assumption1(classes):
         raise CertificationError("assumption1 violated")
     qs = _qc_mats(alpha, classes)
     w_o, w_i, gm = build_dual_data(lam)
     p = gm.T @ w_o @ gm
-    rs = [gm.T @ q @ gm for q in qs]
-    keep, u = _reduce_nsd(rs, 4)
+    keep, u = _face(alpha, classes, gm)
     n = u.shape[1]
-    if n == 0:
-        raise CertificationError("dual feasible set is trivial")
     pr = u.T @ p @ u
-    rr = [u.T @ rs[i] @ u for i in keep]
+    rr = [u.T @ (gm.T @ qs[i] @ gm) @ u for i in keep]
     nmat = u.T @ (gm.T @ w_i @ gm) @ u
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     vecs = []

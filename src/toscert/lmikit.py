@@ -2,13 +2,15 @@
 
 This module is the one place the certificate matrices are written, each a
 small dense symmetric matrix: the quadratic-constraint blocks Q(m, L), their
-4x4 sandwiched versions Q1..Q3, the Lyapunov difference matrices W0/W1/W2
-and the parts they are built from, the Schur-complement extension, and the
-data of the dual rate program. `certify` assembles its programs and audits
-from these and keeps no copy. All builders are pure functions of their
-arguments. `max_eig`, LAPACK's top eigenvalue, is the audit margin of every
-certificate, taken on the 4x4 LMI W + sum sigma_i Q_i. `eigvalsh` is the one
-eigenvalue routine of the package: `max_eig` and the IPM loop both call it.
+4x4 sandwiched versions Q1..Q3 (with the direction s_i of each one that a
+class with m == L makes negative semidefinite, Q_i = -(1/2m) s_i s_i^T),
+the Lyapunov difference matrices W0/W1/W2 and the parts they are built
+from, the Schur-complement extension, and the data of the dual rate
+program. `certify` assembles its programs and audits from these and keeps
+no copy. All builders are pure functions of their arguments. `max_eig`,
+LAPACK's top eigenvalue, is the audit margin of every certificate, taken
+on the 4x4 LMI W + sum sigma_i Q_i. `eigvalsh` is the one eigenvalue
+routine of the package: `max_eig` and the IPM loop both call it.
 """
 
 import math
@@ -30,8 +32,8 @@ class RegularityClass:
     L: float
 
     def __post_init__(self):
-        if not (self.m >= 0):
-            raise ValueError("m must be >= 0")
+        if not (0 <= self.m < math.inf):
+            raise ValueError("m must be finite and >= 0")
         if not (self.L > 0):
             raise ValueError("L must be > 0")
         if self.m > self.L:
@@ -85,6 +87,18 @@ def build_qc_triplet(alpha, f, g, h):
     q2 = s2.T @ qc_base(h) @ s2
     q3 = s3.T @ qc_base(f) @ s3
     return q1, q2, q3
+
+
+def nsd_directions(alpha, f, g, h):
+    """{i: s_i} for each Q_i of build_qc_triplet that is NSD, i.e. m == L.
+
+    Q(m, m) = -(1/2m) (m, -1)(m, -1)^T, so Q_i = -(1/2m) s_i s_i^T with
+    s_i = S_i^T (m, -1); for m < L, Q(m, L) is indefinite (its determinant
+    is -(m - L)^2 / (4 (m + L)^2)), and so is Q_i.
+    """
+    return {i: s.T @ np.array([c.m, -1.0])
+            for i, (s, c) in enumerate(zip(_selectors(alpha), (g, h, f)))
+            if c.m == c.L}
 
 
 # The parts every certificate LMI is written from, here and nowhere else.

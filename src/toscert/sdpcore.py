@@ -107,30 +107,6 @@ def _norm(a):
     return math.sqrt(v.dot(v))
 
 
-def _cho_factor(a):
-    """Upper Cholesky factor of a, as scipy.linalg.cho_factor computes it."""
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-    c, info = dpotrf(a, clean=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite")
-    # cho_solve re-checks the factor on every solve; once here is enough
-    if info < 0 or not np.isfinite(c).all():
-        raise ValueError("dpotrf gave no finite factor")
-    return c
-
-
-def _cho_solve(c, b):
-    """Solve with a factor of _cho_factor, as scipy.linalg.cho_solve does."""
-    if not np.isfinite(b).all():
-        raise ValueError("array must not contain infs or NaNs")
-    x, info = dpotrs(c, b)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
-    return x
-
-
 def _chol(m):
     """Lower dpotrf factor of m, lifted to eigenvalues >= 1e-14 if it fails."""
     f, info = dpotrf(m, lower=1, clean=1)
@@ -209,7 +185,7 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
     # with G = (A_i . A_j) (ridged like the Newton system's matrix, so a zero
     # or repeated A_i cannot break the factor); with G^-1 folded into the A_i,
     # diag(X_p) and C . X_p cost one small product each
-    pav = _cho_solve(_cho_factor(avec @ avec.T + 1e-13 * np.eye(m)), avec)
+    pav = dpotrs(_chol(avec @ avec.T + 1e-13 * np.eye(m)), avec, lower=1)[0]
     pdiag = pav[:, ::n + 1]
     pc = pav @ cmat.ravel()
     deq2 = deq[:n0] ** 2

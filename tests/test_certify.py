@@ -8,7 +8,7 @@ import pytest
 
 from scipy.linalg import block_diag, null_space
 
-from toscert import certify, sdpcore, tos
+from toscert import certify, lmikit, sdpcore, tos
 from toscert.certify import (CertificationError, MODE_LINEAR, MODE_OBJECTIVE,
                              MODE_RESIDUAL, ProblemClasses, RateCertificate,
                              audit, certificate_from_json,
@@ -17,8 +17,9 @@ from toscert.certify import (CertificationError, MODE_LINEAR, MODE_OBJECTIVE,
                              check_assumption1, dual_linear_rate,
                              empirical_lyapunov_check, linear_rate_value,
                              sweep_alpha, symbolic_sublinear)
-from toscert.lmikit import (RegularityClass, build_qc_triplet, build_w0,
-                            build_w1, build_w2, eta_vector, schur_extend)
+from toscert.lmikit import (RegularityClass, build_dual_data,
+                            build_qc_triplet, build_w0, build_w1, build_w2,
+                            eta_vector, schur_extend)
 
 
 def _cls(mf, lf, mg, lg, mh, lh):
@@ -221,6 +222,106 @@ def test_linear_rate_degenerate_class():
     assert abs(cert.rho2 - dual) <= 1e-6
 
 
+def test_near_equal_class_keeps_a_finite_multiplier():
+    # m = 20 < L = 20.002 leaves Q_f indefinite, so sigma_f = inf proves
+    # nothing: the m = L rate 0.515478 issued with it fails by 4.7e-6 for
+    # every finite sigma. Both solves end maxIterations; what they issue must
+    # pass the audit with finite multipliers and respect weak duality
+    classes = _cls(20.0, 20.002, 0.0, math.inf, 0.0, 70.0)
+    joint = certify_linear_rate(0.01, classes)
+    pinned = certify_linear_rate(0.01, classes, lam=joint.lam)
+    dual = dual_linear_rate(0.01, joint.lam, classes)
+    for cert in (joint, pinned):
+        assert all(math.isfinite(s) for s in cert.sigma), cert
+        assert cert.margin <= sdpcore.DEFAULT_FEAS_TOL
+        assert cert.rho2 >= dual
+
+
+def _face_reference(mats):
+    """The complement of the negative eigenvectors of the NSD mats."""
+    negs = [np.zeros((len(mats[0]), 0))]
+    for m in mats:
+        ev, vecs = np.linalg.eigh(m)
+        tol = 1e-12 * np.abs(ev).max()
+        if ev[-1] <= tol:
+            negs.append(vecs[:, ev < -tol])
+    return null_space(np.hstack(negs).T)
+
+
+@pytest.mark.parametrize("classes", [
+    STRONG_F_EQUAL, STRONG_G, _cls(0.0, math.inf, 1.0, 1.0, 2.0, 2.0),
+    _cls(3.0, 3.0, 1.0, 1.0, 0.0, 5.0)], ids=["f", "none", "g-h", "f-g"])
+def test_face_spans_the_eigenvector_reference(classes):
+    # sigma_i = inf exactly where the class has m == L, and the face is the
+    # one the NSD Q_i (and, for the dual, G^T Q_i G) leave
+    gm = build_dual_data(1.0)[2]
+    rng = np.random.default_rng(3)
+    for alpha in [0.02, *np.exp(rng.uniform(math.log(1e-3), math.log(10.0), 8))]:
+        qs = certify._qc_mats(alpha, classes)
+        for g, mats in ((None, qs), (gm, [gm.T @ q @ gm for q in qs])):
+            keep, u = certify._face(alpha, classes, g)
+            assert keep == [i for i, c in enumerate(
+                (classes.g, classes.h, classes.f)) if c.m != c.L]
+            ref = _face_reference(mats)
+            assert np.abs(u @ u.T - ref @ ref.T).max() <= 1e-12
+
+
+def _exact_rank(rows):
+    """Rank of rational rows, by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in rows[rank + 1:]:
+            f = r[col] / rows[rank][col]
+            r[:] = [a - f * b for a, b in zip(r, rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_no_second_constraint_turns_nsd_on_the_face():
+    # on s_i-perp, Q_k = S_k^T Q(m, L) S_k with m < L has a positive
+    # eigenvalue whenever S_k keeps rank 2 there, for Q(m, L) is indefinite.
+    # After one elimination it always does; after two, S_f drops to rank 1
+    # exactly when g and h are eliminated and alpha (m_g + m_h) = 1
+    for alpha in (F(1, 1000), F(1, 3), F(1, 2), F(1), F(7, 2), F(10)):
+        sel = [[[F(x) for x in row] for row in s]
+               for s in lmikit._selectors(alpha)]
+        for ms in [(F(0), F(1, 2), F(20)), (F(1), F(1), F(2)),
+                   (F(2, 3), F(1, 3), F(5))]:
+            # s_i = S_i^T (m_i, -1), in triplet order (g, h, f)
+            dirs = [[m * a - b for a, b in zip(*s)] for s, m in zip(sel, ms)]
+            for gone in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
+                face = [dirs[i] for i in gone]
+                for k in set(range(3)) - set(gone):
+                    rank = _exact_rank(sel[k] + face) - len(gone)
+                    drop = gone == [0, 1] and alpha * (ms[0] + ms[1]) == 1
+                    assert rank == (1 if drop else 2), (alpha, ms, gone, k)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.5 * (1.0 + 1e-9)])
+def test_rank_one_face_keeps_a_finite_multiplier(alpha):
+    # g = h = (1, 1) are eliminated, and at alpha = 1/2 S_f has rank 1 on
+    # their face; f = (0, inf) still keeps a finite multiplier there
+    classes = _cls(0.0, math.inf, 1.0, 1.0, 1.0, 1.0)
+    cert = certify_linear_rate(alpha, classes)
+    assert math.isinf(cert.sigma[0]) and math.isinf(cert.sigma[1])
+    assert math.isfinite(cert.sigma[2])
+    assert cert.margin <= sdpcore.DEFAULT_FEAS_TOL
+    assert cert.rho2 <= 1e-8
+
+
+def test_audit_refuses_an_infinite_multiplier_off_the_face():
+    cert = certify_linear_rate(0.02, STRONG_F_EQUAL)
+    w = build_w2(cert.lam, cert.rho2)
+    assert audit(w, cert.sigma, 0.02, STRONG_F_EQUAL) == cert.margin
+    near = _cls(20.0, 20.0 * (1.0 + 1e-12), 0.0, math.inf, 0.0, 70.0)
+    assert audit(w, cert.sigma, 0.02, near) == math.inf
+
+
 # criterion 5's sets a, d and f at stepsizes of its sweep where the pinned
 # program, at the joint optimum's lam, has no interior and no Farkas ray
 PINNED_WITHOUT_INTERIOR = [
@@ -297,11 +398,12 @@ def test_audit_refuses_a_nudged_certificate():
     ]
     assert math.isinf(cases[-1][0].sigma[2])
     for cert, classes, w in cases:
-        qs = certify._qc_mats(cert.alpha, classes)
-        assert audit(w(cert, cert.rate()), cert.sigma, qs) == cert.margin
+        face = cert.alpha, classes
+        assert audit(w(cert, cert.rate()), cert.sigma, *face) == cert.margin
         assert cert.margin <= 1e-8, cert
         nudge = 0.999 if cert.mode == MODE_LINEAR else 1.001
-        assert audit(w(cert, nudge * cert.rate()), cert.sigma, qs) > 1e-5, cert
+        assert audit(w(cert, nudge * cert.rate()), cert.sigma, *face) > 1e-5, \
+            cert
 
 
 @pytest.mark.parametrize("alpha", [1.0, 3.0])
@@ -472,7 +574,7 @@ def _paper_program(shape, y, lmi):
         assert np.linalg.matrix_rank(basis) == 3
         assert not (basis.T @ np.ones(4)).any()
         return block_diag(_schur_on(m, y[1], basis), np.diag(-sigma))
-    keep, u = certify._reduce_nsd(certify._qc_mats(0.02, STRONG_F_EQUAL), 4)
+    keep, u = certify._face(0.02, STRONG_F_EQUAL)
     if shape == "linear-pinned":
         return u.T @ (build_w2(LINEAR_LAM, y[0])
                       + _qc_sum(0.02, STRONG_F_EQUAL, y[1:], keep)) @ u

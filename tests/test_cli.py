@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from toscert import certify, cli
-from toscert.lmikit import build_qc_triplet, build_w2
+from toscert.lmikit import build_w2
 
 
 def _write(path, doc):
@@ -43,8 +43,8 @@ def test_certify_linear_round_trip(tmp_path):
         certify.RegularityClass(0, math.inf),
         certify.RegularityClass(1, 10),
         certify.RegularityClass(0, 20))
-    qs = build_qc_triplet(cert.alpha, classes.f, classes.g, classes.h)
-    margin = certify.audit(build_w2(cert.lam, cert.rho2), cert.sigma, qs)
+    margin = certify.audit(build_w2(cert.lam, cert.rho2), cert.sigma,
+                           cert.alpha, classes)
     assert margin <= 1e-7
 
 
@@ -169,6 +169,7 @@ _LINEAR_NO_ALPHA = {k: v for k, v in LINEAR_DOC.items() if k != "alpha"}
     ("certify", dict(LINEAR_DOC, alpha="x"), []),
     ("run", dict(RUN_DOC, alpha="x"), []),
     ("certify", dict(LINEAR_DOC, f=3), []),
+    ("certify", dict(LINEAR_DOC, f={"m": "inf", "L": "inf"}), []),
     ("run", dict(RUN_DOC, f=3), []),
     ("run", {k: v for k, v in RUN_DOC.items() if k != "lambda"}, []),
     ("sweep", LINEAR_DOC, ["--grid", "0.1:1:3:bogus"]),
@@ -181,8 +182,8 @@ _LINEAR_NO_ALPHA = {k: v for k, v in LINEAR_DOC.items() if k != "alpha"}
     ("sweep", dict(LINEAR_DOC, grid=[0.1, math.inf]), []),
     ("sweep", LINEAR_DOC, ["--grid", "0.1:1:3", "--lambda", "inf"]),
 ], ids=["certify-no-alpha", "certify-array", "sweep-array", "run-array",
-        "certify-alpha-x", "run-alpha-x", "certify-f-3", "run-f-3",
-        "run-no-lambda", "grid-bogus-scale", "grid-no-points",
+        "certify-alpha-x", "run-alpha-x", "certify-f-3", "certify-f-m-inf",
+        "run-f-3", "run-no-lambda", "grid-bogus-scale", "grid-no-points",
         "document-grid-empty", "certify-alpha-0", "certify-alpha-nan",
         "certify-document-alpha-negative",
         "grid-negative-points", "document-grid-inf", "sweep-lambda-inf"])

@@ -21,6 +21,8 @@ def test_regularity_class_validation():
         RegularityClass(0.0, 0.0)
     with pytest.raises(ValueError):
         RegularityClass(3.0, 2.0)
+    with pytest.raises(ValueError):
+        RegularityClass(math.inf, math.inf)
     assert RegularityClass(0.0, math.inf).smooth is False
     assert RegularityClass(0.0, 5.0).smooth is True
 

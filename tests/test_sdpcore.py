@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from toscert import certify, sdpcore
@@ -269,40 +268,12 @@ def test_refusal_falls_back_to_the_approximate_ray():
         certify.certify_objective_rate(5.0, 10.0, 1.0)
 
 
-def test_raw_cholesky_matches_scipy_bitwise():
-    rng = np.random.default_rng(5)
-    for n in (1, 3, 8, 12):
-        a = rng.standard_normal((n, n))
-        a = a @ a.T + 0.1 * np.eye(n)
-        c = sdpcore._cho_factor(a)
-        ref, lower = cho_factor(a)
-        assert not lower
-        assert c.tobytes() == ref.tobytes()
-        for b in (rng.standard_normal(n), rng.standard_normal((n, 3)),
-                  np.eye(n)):
-            assert (sdpcore._cho_solve(c, b).tobytes()
-                    == cho_solve((ref, False), b).tobytes())
-
-
 def test_norm_matches_numpy_bitwise():
     rng = np.random.default_rng(19)
     for shape in ((1,), (7,), (3, 3), (8, 8), (5, 2)):
         a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8)
         for v in (a, a.T, a[::-1]):
             assert sdpcore._norm(v) == np.linalg.norm(v)
-
-
-def test_raw_cholesky_refuses_bad_input():
-    with pytest.raises(np.linalg.LinAlgError):
-        sdpcore._cho_factor(np.diag([1.0, -1.0, 2.0]))
-    c = sdpcore._cho_factor(np.eye(3))
-    for bad in (math.nan, math.inf):
-        a = np.eye(3)
-        a[1, 2] = a[2, 1] = bad
-        with pytest.raises(ValueError):
-            sdpcore._cho_factor(a)
-        with pytest.raises(ValueError):
-            sdpcore._cho_solve(c, np.array([1.0, bad, 0.0]))
 
 
 def _loop_outcomes(monkeypatch):

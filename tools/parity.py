@@ -7,7 +7,11 @@
 wraps `sdpcore.solve_sdp`. It then runs the operations of
 `objective-surface` at seeds 0-3 and of `linear-duality` at seed 0, with
 inputs from `perfbench.workloads`, the residual-rate grid (lambda
-joint, 0.5, 1.0 and 1.5 over the surface's stepsizes) and `sdpcore-cases`:
+joint, 0.5, 1.0 and 1.5 over the surface's stepsizes), `linear-near-equal`
+(linear-duality's set e, whose f has m = L = 20, with L_f raised to
+20 (1 + delta): a joint certificate and one pinned at its lambda over set
+e's stepsizes, so that a multiplier sigma_f = inf that appears or vanishes
+shows in the diff) and `sdpcore-cases`:
 `sdpcore.analytic_instances()` and the `feasibility_margin` programs of
 the tests, whose data runs up to 1e6. For each solve it writes the
 status, the bytes of y, the iteration count, the audit slack, the
@@ -39,6 +43,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SURFACE_SEEDS = (0, 1, 2, 3)
 RESIDUAL_LAMBDAS = (None, 0.5, 1.0, 1.5)
+NEAR_EQUAL_DELTAS = (1e-9, 1e-6, 1e-4)
 UNDECIDED = ("maxIterations", "numericalFailure")
 
 
@@ -69,7 +74,33 @@ def _sections():
             certify.certify_residual_rate, alpha, lam, case1)
     yield ("residual-grid", [residual(a, lam) for lam in RESIDUAL_LAMBDAS
                              for a in alphas], theta)
+    yield ("linear-near-equal", list(_near_equal_operations()),
+           lambda certs: [None if c is None else c.rho2 for c in certs])
     yield ("sdpcore-cases", list(_sdpcore_cases()), lambda value: [value])
+
+
+def _near_equal_operations():
+    """Joint and pinned linear certificates of set e with L_f = 20 (1 + d)."""
+    import numpy as np
+    from perfbench import workloads
+    from toscert import certify
+
+    (f, g, h), (lo, hi) = workloads.LINEAR_SETS["e"]
+
+    def op(alpha, classes):
+        def run():
+            joint = workloads._certify_or_none(
+                certify.certify_linear_rate, alpha, classes)
+            pinned = joint and workloads._certify_or_none(
+                certify.certify_linear_rate, alpha, classes, lam=joint.lam)
+            return joint, pinned
+        return run
+    for delta in NEAR_EQUAL_DELTAS:
+        classes = certify.ProblemClasses(
+            certify.RegularityClass(f[0], f[1] * (1.0 + delta)),
+            *(certify.RegularityClass(*c) for c in (g, h)))
+        for alpha in np.geomspace(lo, hi, workloads.LINEAR_POINTS):
+            yield op(float(alpha), classes)
 
 
 def _sdpcore_cases():
