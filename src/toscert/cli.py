@@ -78,7 +78,8 @@ def _load_request(args):
     are checked. alpha and lambda come from the flag, else the document, as
     floats, and must be positive and finite, as must sweep's stepsizes.
     certify and sweep get their mode, solver tolerances and problem
-    classes, sweep its stepsizes, run its splitting oracle and settings.
+    classes, sweep its stepsizes, run its splitting oracle and settings;
+    run's z0 must be a finite vector and h.matrix square of its size.
     Raises one of _BAD_INPUT.
     """
     with open(args.input) as fh:
@@ -101,9 +102,13 @@ def _load_request(args):
         args.oracle = tos.OperatorOracle(
             prox_f=f, prox_g=g, grad_h=lambda x: tos.grad_eval(e, x))
         args.z0 = np.asarray(doc["z0"], dtype=float)
+        if args.z0.ndim != 1 or e.shape != (args.z0.size, args.z0.size):
+            raise ValueError("h.matrix must be square, of the size of z0")
+        if not np.isfinite(args.z0).all():
+            raise ValueError("z0 must be finite")
         args.config = tos.TosConfig(
             alpha=args.alpha, lam=args.lam,
-            max_iter=int(doc.get("max_iter", 1000)),
+            max_iter=doc.get("max_iter", 1000),
             residual_tol=float(doc.get("residual_tol", 0.0)))
         return
     args.mode = args.mode or doc.get("mode")

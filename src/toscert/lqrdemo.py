@@ -17,6 +17,7 @@ input.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,14 +135,23 @@ def assemble_oracles(inst):
         x_out[:-1] += ys[1:] @ a
         return np.concatenate((x_out.ravel(), (us + ys[1:] @ b).ravel()))
 
+    # the last gradient and the array it was taken at: tos.run asks for the
+    # objective at the very x_B whose gradient its step has just formed.
+    # Holding w itself keeps the identity test sound; w must not change in
+    # place between grad_h(w) and objective(w).
+    last = [None, None]
+
     def grad_h(w):
         xs, us = blocks(w)
-        return np.concatenate(((xs @ q.T).ravel(), (us @ r.T).ravel()))
+        g = np.concatenate(((xs @ q.T).ravel(), (us @ r.T).ravel()))
+        last[:] = w, g
+        return g
 
     l_h = max(np.linalg.norm(q, 2), np.linalg.norm(r, 2))
 
     def objective(w):
-        return 0.5 * float(w @ grad_h(w))
+        g = last[1] if last[0] is w else grad_h(w)
+        return 0.5 * float(w @ g)
 
     oracle = tos.OperatorOracle(
         prox_f=prox_f, prox_g=prox_g, grad_h=grad_h, objective=objective)
@@ -153,16 +163,17 @@ def _csv_name(lam):
 
 
 def check_sweep(lambdas, iter_budget):
-    """Reject a sweep whose lambdas do not all lie in (0, 2), whose runs would
-    take no step, or two of whose lambdas share a CSV name."""
+    """Reject a sweep whose lambdas do not all lie in (0, 2), whose budget is
+    not a whole number of steps, at least one, or two of whose lambdas share
+    a CSV name."""
     if not all(0 < lam < 2 for lam in lambdas):
         raise ValueError("every lambda must lie in (0, 2)")
     names = [_csv_name(lam) for lam in lambdas]
     if len(set(names)) < len(names):
         raise ValueError("two lambdas share the trace file name "
                          f"{max(names, key=names.count)}")
-    if not iter_budget >= 1:
-        raise ValueError("the iteration budget must be at least 1")
+    if not (isinstance(iter_budget, numbers.Integral) and iter_budget >= 1):
+        raise ValueError("the iteration budget must be an integer >= 1")
 
 
 def run_sweep(inst, lambdas, iter_budget, out_dir=None):

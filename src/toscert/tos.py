@@ -6,10 +6,18 @@ One step reads
     x_A = prox_{alpha f}(y)
     z'  = z + lam (x_A - x_B)
 and the optimality residual along iterates is (x_B - x_A)/alpha.
+
+A run records z_0 and, per step, x_B and x_A as the oracles returned them,
+the squared residual norm and the objective at x_B. The iterates z_k are
+not stored: z' depends only on z, x_B and x_A, so `IterateTrace.z` replays
+the update from z_0 with `relax`, the function `tos_step` applies. Its
+operations are elementwise and run in the same order, so the replayed z_k
+are bitwise the ones the run stepped through.
 """
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,21 +41,45 @@ class TosConfig:
     residual_tol: float = 0.0
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.lam > 0):
-            raise ValueError("alpha and lam must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not (0 < self.alpha < math.inf and 0 < self.lam < math.inf):
+            raise ValueError("alpha and lam must be positive and finite")
+        if not (isinstance(self.max_iter, numbers.Integral)
+                and self.max_iter >= 1):
+            raise ValueError("max_iter must be an integer >= 1")
+
+
+def relax(z, x_b, x_a, lam):
+    """The splitting update z + lam (x_A - x_B)."""
+    return z + lam * (x_a - x_b)
 
 
 @dataclass
 class IterateTrace:
+    """What a run records: the start z0, and for step k the prox outputs
+    x_b[k] and x_a[k], residual_norm2[k] and, when the oracle has one,
+    objective[k] at x_b[k].
+
+    The iterates z are formed from these on demand (see `z`).
+    """
     alpha: float
     lam: float
-    z: list = field(default_factory=list)
+    z0: np.ndarray = None
     x_b: list = field(default_factory=list)
     x_a: list = field(default_factory=list)
     residual_norm2: list = field(default_factory=list)
     objective: list = field(default_factory=list)
+
+    @property
+    def z(self):
+        """The iterates z_0 .. z_K of K recorded steps, one row each, replayed
+        from z0 by `relax`; empty when no start is recorded."""
+        if self.z0 is None:
+            return np.empty(0)
+        zs = np.empty((len(self.x_b) + 1, *np.shape(self.z0)))
+        zs[0] = self.z0
+        for k, (x_b, x_a) in enumerate(zip(self.x_b, self.x_a)):
+            zs[k + 1] = relax(zs[k], x_b, x_a, self.lam)
+        return zs
 
     def gap_norm2(self):
         """Per-iteration ||x_B - x_A||^2."""
@@ -84,7 +116,7 @@ def tos_step(z, oracle, config):
     x_b = oracle.prox_g(alpha, z)
     y = 2.0 * x_b - z - alpha * oracle.grad_h(x_b)
     x_a = oracle.prox_f(alpha, y)
-    z_next = z + lam * (x_a - x_b)
+    z_next = relax(z, x_b, x_a, lam)
     if not np.isfinite(z_next).all():
         raise FloatingPointError("oracle produced non-finite values")
     return z_next, (x_b, y, x_a)
@@ -95,12 +127,11 @@ def run(oracle, z0, config):
     z = np.asarray(z0, dtype=float).copy()
     if not np.isfinite(z).all():
         raise ValueError("z0 must be finite")
-    trace = IterateTrace(alpha=config.alpha, lam=config.lam)
+    trace = IterateTrace(alpha=config.alpha, lam=config.lam, z0=z)
     for _ in range(config.max_iter):
         z_next, (x_b, _, x_a) = tos_step(z, oracle, config)
         r = residual(x_b, x_a, config.alpha)
         rnorm2 = float(r @ r)
-        trace.z.append(z.copy())
         trace.x_b.append(x_b)
         trace.x_a.append(x_a)
         trace.residual_norm2.append(rnorm2)
@@ -109,7 +140,6 @@ def run(oracle, z0, config):
         z = z_next
         if math.sqrt(rnorm2) <= config.residual_tol:
             break
-    trace.z.append(z.copy())
     return trace
 
 

@@ -469,15 +469,15 @@ def test_sweep_rejects_empty_and_unknown():
 
 
 def _contraction_trace(rho, steps, dim=3, seed=0):
+    # prox outputs x_B = z and x_A = rho z make the update z -> rho z
     rng = np.random.default_rng(seed)
-    z0 = rng.standard_normal(dim)
-    trace = tos.IterateTrace(alpha=1.0, lam=1.0)
-    z = z0.copy()
+    z = rng.standard_normal(dim)
+    trace = tos.IterateTrace(alpha=1.0, lam=1.0, z0=z)
     for _ in range(steps):
-        trace.z.append(z.copy())
+        trace.x_b.append(z)
+        trace.x_a.append(rho * z)
         trace.residual_norm2.append(float(z @ z))
-        z = rho * z
-    trace.z.append(z.copy())
+        z = tos.relax(z, z, rho * z, trace.lam)
     return trace
 
 

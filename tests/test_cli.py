@@ -181,12 +181,16 @@ _LINEAR_NO_ALPHA = {k: v for k, v in LINEAR_DOC.items() if k != "alpha"}
     ("sweep", LINEAR_DOC, ["--grid=-0.5:0.5:3:lin"]),
     ("sweep", dict(LINEAR_DOC, grid=[0.1, math.inf]), []),
     ("sweep", LINEAR_DOC, ["--grid", "0.1:1:3", "--lambda", "inf"]),
+    ("run", dict(RUN_DOC, z0=[math.nan]), []),
+    ("run", dict(RUN_DOC, z0=[1.0, 2.0]), []),
+    ("run", dict(RUN_DOC, max_iter=2.5), []),
 ], ids=["certify-no-alpha", "certify-array", "sweep-array", "run-array",
         "certify-alpha-x", "run-alpha-x", "certify-f-3", "certify-f-m-inf",
         "run-f-3", "run-no-lambda", "grid-bogus-scale", "grid-no-points",
         "document-grid-empty", "certify-alpha-0", "certify-alpha-nan",
         "certify-document-alpha-negative",
-        "grid-negative-points", "document-grid-inf", "sweep-lambda-inf"])
+        "grid-negative-points", "document-grid-inf", "sweep-lambda-inf",
+        "run-z0-nan", "run-z0-size", "run-max-iter-2.5"])
 def test_malformed_input_exit_code(tmp_path, capsys, command, doc, opts):
     inp = _write(tmp_path / "in.json", doc)
     out = str(tmp_path / "out")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,49 @@ def test_assemble_oracles_objective_and_classes():
     e, _ = cost_matrix(inst)
     w = np.ones(layout.dim)
     assert abs(oracle.objective(w) - 0.5 * w @ e @ w) < 1e-12
+    # a gradient taken at another array is not reused
+    oracle.grad_h(2.0 * w)
+    assert abs(oracle.objective(w) - 0.5 * w @ e @ w) < 1e-12
+
+
+class _CountedMatrix(np.ndarray):
+    """A matrix that counts the products taken with it."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountedMatrix.products += 1
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs),
+                                      **kwargs)
+
+
+def test_one_gradient_a_step():
+    # grad_h is the only oracle that multiplies by Q
+    inst = lqrdemo.build_instance(0, 4, 2, 5)
+    inst = dataclasses.replace(inst, q=inst.q.view(_CountedMatrix))
+    oracle, layout, l_h = lqrdemo.assemble_oracles(inst)
+    config = tos.TosConfig(alpha=1.0 / l_h, lam=1.0, max_iter=40)
+    _CountedMatrix.products = 0
+    trace = tos.run(oracle, np.zeros(layout.dim), config)
+    assert len(trace.objective) == 40
+    assert _CountedMatrix.products == 40
+
+
+def test_trace_memory_is_two_iterates_a_step():
+    oracle, layout, l_h = lqrdemo.assemble_oracles(
+        lqrdemo.build_instance(0, 20, 5, 20))
+    steps = 500
+    config = tos.TosConfig(alpha=1.0 / l_h, lam=1.0, max_iter=steps)
+    z0 = np.zeros(layout.dim)
+    tracemalloc.start()
+    try:
+        trace = tos.run(oracle, z0, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.x_b) == steps
+    assert peak < 2.2 * steps * layout.dim * 8
 
 
 def test_run_sweep_outputs(tmp_path):
@@ -207,10 +251,14 @@ def test_run_sweep_outputs(tmp_path):
     assert (tmp_path / "trace_lambda_0.5.csv").exists()
 
 
-def test_run_sweep_validates_lambda():
+def test_run_sweep_validates_lambda(tmp_path):
     inst = lqrdemo.build_instance(2, 3, 2, 4)
     with pytest.raises(ValueError):
         lqrdemo.run_sweep(inst, [2.5], 10)
+    for budget in (2.5, 10.0, float("nan"), 0):
+        with pytest.raises(ValueError, match="iteration budget"):
+            lqrdemo.run_sweep(inst, [1.0], budget, out_dir=str(tmp_path))
+    assert not any(tmp_path.iterdir())
 
 
 def test_run_sweep_refuses_lambdas_that_share_a_csv(tmp_path):

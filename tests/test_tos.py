@@ -1,13 +1,14 @@
 """Tests for the splitting iteration and the prox library."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toscert import tos
+from toscert import lqrdemo, tos
 from toscert.tos import (AffineSubspaceProx, BoxProx, IterateTrace, L1Prox,
                          OperatorOracle, QuadraticProx, TosConfig, ZeroProx,
                          find_fixed_point, grad_eval, residual, run,
@@ -90,12 +91,13 @@ def test_find_fixed_point_scalar():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TosConfig(alpha=0.0, lam=0.5)
-    with pytest.raises(ValueError):
-        TosConfig(alpha=1.0, lam=-1.0)
-    with pytest.raises(ValueError):
-        TosConfig(alpha=1.0, lam=0.5, max_iter=0)
+    for alpha, lam, max_iter in [
+            (0.0, 0.5, 1000), (1.0, -1.0, 1000), (1.0, 0.5, 0),
+            (math.inf, 0.5, 1000), (math.nan, 0.5, 1000),
+            (1.0, math.inf, 1000), (1.0, 0.5, math.nan), (1.0, 0.5, 2.5),
+            (1.0, 0.5, 3.0)]:
+        with pytest.raises(ValueError):
+            TosConfig(alpha=alpha, lam=lam, max_iter=max_iter)
 
 
 def test_run_rejects_nonfinite_start():
@@ -205,6 +207,56 @@ def test_run_deterministic():
     t2 = run(oracle, z0, config)
     assert np.array_equal(np.asarray(t1.z), np.asarray(t2.z))
     assert t1.residual_norm2 == t2.residual_norm2
+
+
+def _recorded_z(oracle, z0, config):
+    """The iterates as a recording loop that stores every z keeps them: the
+    reference for the z a trace forms from z0, x_B and x_A."""
+    z = np.asarray(z0, dtype=float).copy()
+    zs = []
+    for _ in range(config.max_iter):
+        z_next, (x_b, _, x_a) = tos_step(z, oracle, config)
+        r = residual(x_b, x_a, config.alpha)
+        rnorm2 = float(r @ r)
+        zs.append(z.copy())
+        z = z_next
+        if math.sqrt(rnorm2) <= config.residual_tol:
+            break
+    zs.append(z.copy())
+    return zs
+
+
+def _lqr_case(lam):
+    oracle, layout, l_h = lqrdemo.assemble_oracles(
+        lqrdemo.build_instance(0, 20, 5, 20))
+    return (oracle, np.zeros(layout.dim),
+            TosConfig(alpha=(2.0 - lam) / l_h, lam=lam, max_iter=2000))
+
+
+def _deterministic_case():
+    rng = np.random.default_rng(4)
+    e = np.diag(rng.uniform(0.5, 2.0, 3))
+    oracle = OperatorOracle(prox_f=L1Prox(0.1), prox_g=BoxProx(2.0),
+                            grad_h=lambda x: e @ x)
+    return oracle, rng.standard_normal(3), TosConfig(alpha=0.3, lam=0.8,
+                                                     max_iter=50)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _lqr_case(0.25), lambda: _lqr_case(1.5), _deterministic_case,
+    lambda: (_quad_oracle(), np.array([4.0]),
+             TosConfig(alpha=1.0, lam=0.5, max_iter=1000, residual_tol=1e-6))],
+    ids=["lqr-0.25", "lqr-1.5", "deterministic", "residual-tol"])
+def test_trace_forms_the_recorded_iterates_bitwise(case):
+    oracle, z0, config = case()
+    trace = run(oracle, z0, config)
+    want = np.asarray(_recorded_z(oracle, z0, config))
+    zs = trace.z
+    assert len(zs) == len(trace.x_b) + 1 == len(want)
+    assert zs.shape == want.shape and zs.tobytes() == want.tobytes()
+    # a step stores x_B, x_A and two floats; z is not kept
+    assert {f.name for f in dataclasses.fields(IterateTrace)} == {
+        "alpha", "lam", "z0", "x_b", "x_a", "residual_norm2", "objective"}
 
 
 def test_trace_csv_schema(tmp_path):

@@ -17,14 +17,19 @@ the tests, whose data runs up to 1e6. For each solve it writes the
 status, the bytes of y, the iteration count, the audit slack, the
 objective and the residuals pres, dres and gap. For each operation it
 writes the rates issued (None for a refusal); an `sdpcore-cases`
-operation issues its optimal value or margin.
+operation issues its optimal value or margin. Its `lqr-demo` section runs
+the benchmark's `lqr-demo` operations at seed 0, one trace per default
+lambda, and writes the sha256 of the bytes of the trace's x_B, x_A, z,
+residual_norm2 and objective and of its CSV file.
 
 `diff` matches solves by section, operation and order within the
 operation, and prints, per section and in total: how many are identical,
 how many differ only in their bits (same status), each status
 transition, the total iterations, the undecided solves (`maxIterations`
 and `numericalFailure`) of each side, the certificates issued and the
-largest change in an issued rate. It exits 1 when any solve differs.
+largest change in an issued rate. It counts the identical and the
+differing `lqr-demo` traces apart, naming the fields that differ. It exits
+1 when any solve or trace differs.
 
 To compare two commits, copy this file into a checkout of each and run
 `dump` there.
@@ -45,6 +50,8 @@ SURFACE_SEEDS = (0, 1, 2, 3)
 RESIDUAL_LAMBDAS = (None, 0.5, 1.0, 1.5)
 NEAR_EQUAL_DELTAS = (1e-9, 1e-6, 1e-4)
 UNDECIDED = ("maxIterations", "numericalFailure")
+LQR_SECTION = "lqr-demo"
+LQR_FIELDS = ("x_b", "x_a", "z", "residual_norm2", "objective")
 
 
 def _sections():
@@ -125,6 +132,33 @@ def _sdpcore_cases():
         yield lambda w0=w0: sdpcore.feasibility_margin(w0, qs, [True] * 3)[0]
 
 
+def _lqr_traces():
+    """The sha256 of each field of every lqr-demo trace at seed 0."""
+    import hashlib
+    import tempfile
+
+    import numpy as np
+    from perfbench import workloads
+    from toscert import lqrdemo
+
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    inst = lqrdemo.build_instance(0, *workloads.LQR_SIZE)
+    rows = []
+    with tempfile.TemporaryDirectory() as out:
+        for lam in workloads.LQR_LAMBDAS:
+            trace = lqrdemo.run_sweep(inst, [lam], workloads.LQR_ITERS,
+                                      out_dir=out)[0]["trace"]
+            digests = {name: sha(np.ascontiguousarray(
+                getattr(trace, name), dtype=float).tobytes())
+                for name in LQR_FIELDS}
+            with open(os.path.join(out, lqrdemo._csv_name(lam)), "rb") as fh:
+                digests["csv"] = sha(fh.read())
+            rows.append({"lambda": lam, "sha256": digests})
+    return rows
+
+
 def dump(out):
     sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
     from toscert import sdpcore
@@ -154,6 +188,8 @@ def dump(out):
         record[name] = rows
         print(f"{name}: {len(rows)} operations, "
               f"{sum(len(r['solves']) for r in rows)} solves", flush=True)
+    record[LQR_SECTION] = _lqr_traces()
+    print(f"{LQR_SECTION}: {len(record[LQR_SECTION])} traces", flush=True)
     with open(out, "w") as fh:
         json.dump(record, fh)
 
@@ -206,6 +242,25 @@ def _report(name, c):
         print(f"    {c['unmatched']} operations or solves have no counterpart")
 
 
+def _compare_traces(rows_a, rows_b):
+    """Print the identical and differing traces; True when all match."""
+    same, differ = 0, []
+    for ra, rb in zip(rows_a, rows_b):
+        fields = [k for k in ra["sha256"]
+                  if ra["sha256"][k] != rb["sha256"].get(k)]
+        if ra["lambda"] != rb["lambda"] or fields:
+            differ.append((ra["lambda"], fields))
+        else:
+            same += 1
+    unmatched = abs(len(rows_a) - len(rows_b))
+    print(f"{LQR_SECTION}: {same} traces identical, {len(differ)} differ")
+    for lam, fields in differ:
+        print(f"    lambda {lam}: {', '.join(fields) or 'lambda'} differ")
+    if unmatched:
+        print(f"    {unmatched} traces have no counterpart")
+    return not (differ or unmatched)
+
+
 def diff(path_a, path_b):
     with open(path_a) as fh:
         rec_a = json.load(fh)
@@ -217,6 +272,9 @@ def diff(path_a, path_b):
         if name not in rec_b:
             print(f"{name}: missing from {path_b}")
             clean = False
+            continue
+        if name == LQR_SECTION:
+            clean = _compare_traces(rec_a[name], rec_b[name]) and clean
             continue
         count, moves = _compare(rec_a[name], rec_b[name], total)
         _report(name, count)
