@@ -15,10 +15,11 @@ from scipy.linalg import null_space
 
 from . import sdpcore
 # build_w2 and schur_extend are unused here; the traced benchmark patches them
-from .lmikit import (RATE_E, RELAX_LIN, RegularityClass, build_dual_data,
-                     build_qc_triplet, build_w0, build_w1, build_w2,
-                     eta_vector, max_eig, nsd_directions, relaxation,
-                     schur_extend, w0_rate, w1_slope)
+from .lmikit import (FACE_BASIS, RATE_E, RELAX_LIN, RESIDUAL_BASIS,
+                     RegularityClass, build_dual_data, build_qc_triplet,
+                     build_w0, build_w1, build_w2, eta_vector, face_sigma,
+                     max_eig, nsd_directions, relaxation, schur_extend,
+                     w0_rate, w1_slope)
 
 LAM_MIN = 1e-6
 LAM_MAX = 4.0
@@ -149,21 +150,6 @@ def _require_case1(classes):
             "nonsmooth f and g, and Lipschitz h")
 
 
-# Equal deviations of x_B, y, x_A and z. When m = 0 throughout, v^T F v = 0
-# for every coefficient F of both sublinear programs (residual W0, objective
-# W1), so neither LMI has an interior: every feasible M has M v = 0. No Q_i is
-# then NSD (that takes m = L > 0). On this face every coefficient of the
-# residual program also annihilates w = (0, -1, 0, 1).
-_FACE_V = np.ones(4)
-# integer columns spanning the orthogonal complement of _FACE_V
-_FACE_BASIS = np.array([
-    [1.0, 1.0, 1.0],
-    [-1.0, 0.0, 0.0],
-    [0.0, -1.0, 0.0],
-    [0.0, 0.0, -1.0],
-])
-
-
 def _bordered(a):
     """a with one zero row and column appended (np.pad's result, cheaper)."""
     out = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
@@ -171,21 +157,21 @@ def _bordered(a):
     return out
 
 
-def _rate_program(sense, const, rate, alpha, classes, lam=None):
+def _rate_program(sense, const, rate, alpha, classes, lam=None, basis=None):
     """const + t rate + R(lam) + sum s_i Q_i <= 0 as a LinearSdp on its face.
 
     t >= 0 is the rate, minimized for sense = 1 and maximized for sense = -1;
     R(lam) = lmikit.relaxation(lam). A pinned lam puts R(lam) in the
     constant. With lam=None, lam is the variable after t: its square enters
     through the Schur border eta(lam) with corner -1, and
-    LAM_MIN <= lam <= LAM_MAX sits on the diagonal. The face, found from the
-    data: if _FACE_V is isotropic for every coefficient, M v = 0 fixes
-    s = S (1, t[, lam]), S is folded into the coefficients, s >= 0 sits on the
-    diagonal and the LMI is kept on _FACE_BASIS; otherwise the s_i >= 0 are
-    variables, except s_i = inf for each Q_i whose class has m == L: the LMI
-    is then kept on _face. Directions every coefficient annihilates are then
-    projected out. Returns the program and a map from its solution to
-    (t, lam, s).
+    LAM_MIN <= lam <= LAM_MAX sits on the diagonal. The caller picks the
+    face by the program's structure. A sublinear program (every m = 0)
+    passes its basis: M v = 0 fixes s = S (1, t[, lam]) by
+    lmikit.face_sigma, S is folded into the coefficients, s >= 0 sits on
+    the diagonal and the LMI is kept on the basis. Otherwise the s_i >= 0
+    are variables, except s_i = inf for each Q_i whose class has m == L,
+    and the LMI is kept on _face. Returns the program and a map from its
+    solution to (t, lam, s).
     """
     qs = _qc_mats(alpha, classes)
     joint = lam is None
@@ -194,15 +180,11 @@ def _rate_program(sense, const, rate, alpha, classes, lam=None):
     else:
         coefs = [const + relaxation(lam), rate]
     n0 = len(coefs)
-    if all(abs(_FACE_V @ m @ _FACE_V) <= 1e-12 * (_FACE_V @ np.abs(m) @ _FACE_V)
-           for m in coefs + qs):
-        # the Q_i v span the complement of v, so M v = 0 fixes s exactly
-        qv = np.column_stack([q @ _FACE_V for q in qs])
-        wv = np.column_stack([m @ _FACE_V for m in coefs])
-        fold = np.linalg.lstsq(qv, -wv, rcond=None)[0]
+    if basis is not None:
+        fold = np.column_stack([face_sigma(alpha, w) for w in coefs])
         coefs = [w + sum(s * q for s, q in zip(col, qs))
                  for w, col in zip(coefs, fold.T)]
-        keep, u = [], _FACE_BASIS
+        keep, u = [], basis
     else:
         fold = np.zeros((0, n0))
         keep, u = _face(alpha, classes)
@@ -218,10 +200,6 @@ def _rate_program(sense, const, rate, alpha, classes, lam=None):
         tail[0, :2] = LAM_MIN, -LAM_MAX
         tail[2, :2] = -1.0, 1.0
     blocks = [u.T @ m @ u for m in coefs]
-    _, sv, vt = np.linalg.svd(np.vstack(blocks))
-    live = vt[sv > 1e-12 * sv[0]]
-    if len(live) < len(vt):  # else keep the basis, and the program's bits
-        blocks = [live @ b @ live.T for b in blocks]
     k = len(blocks[0])
     mats = [np.diag(np.concatenate([np.zeros(k), d])) for d in tail]
     for p, b in zip(mats, blocks):
@@ -252,8 +230,9 @@ def certify_residual_rate(alpha, lam, classes,
     """Maximal theta with W0 + sum sigma_i Q_i <= 0 at fixed (alpha, lam).
 
     With lam=None the relaxation parameter is optimized jointly through the
-    Schur-extended form, searched over [LAM_MIN, LAM_MAX]. A certificate is
-    issued only from an optimal solve.
+    Schur-extended form, searched over [LAM_MIN, LAM_MAX]. The LMI is kept
+    on the face lmikit.RESIDUAL_BASIS spans, where sigma is fixed by
+    (alpha, lam). A certificate is issued only from an optimal solve.
     """
     _require_case1(classes)
     if not alpha > 0:
@@ -261,7 +240,7 @@ def certify_residual_rate(alpha, lam, classes,
     if lam is not None and not lam > 0:
         raise CertificationError("lam must be positive")
     prob, unpack = _rate_program(-1.0, np.zeros((4, 4)), w0_rate(1.0, alpha),
-                                 alpha, classes, lam)
+                                 alpha, classes, lam, basis=RESIDUAL_BASIS)
     sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
     # a cut solve's y says nothing of theta, so its status goes first
     if sol.status not in (sdpcore.STATUS_OPTIMAL, sdpcore.STATUS_INFEASIBLE):
@@ -282,9 +261,9 @@ def certify_objective_rate(alpha, Lf, Lh, feas_tol=sdpcore.DEFAULT_FEAS_TOL,
     """Maximal theta for the objective-value rate with smooth f and h.
 
     Solves the Schur-extended program jointly over (theta, lam, sigma),
-    lam searched over [LAM_MIN, LAM_MAX], on the face M v = 0 that
-    _rate_program finds: it fixes sigma as a linear function of
-    (theta, lam). A certificate is issued only from an optimal solve.
+    lam searched over [LAM_MIN, LAM_MAX], on the face M v = 0 spanned by
+    lmikit.FACE_BASIS: it fixes sigma as a linear function of (theta, lam)
+    (lmikit.face_sigma). A certificate is issued only from an optimal solve.
     """
     if not alpha > 0:
         raise CertificationError("alpha must be positive")
@@ -294,7 +273,8 @@ def certify_objective_rate(alpha, Lf, Lh, feas_tol=sdpcore.DEFAULT_FEAS_TOL,
                              RegularityClass(0.0, math.inf),
                              RegularityClass(0.0, Lh))
     prob, unpack = _rate_program(-1.0, np.zeros((4, 4)),
-                                 w1_slope(alpha, Lf, Lh), alpha, classes)
+                                 w1_slope(alpha, Lf, Lh), alpha, classes,
+                                 basis=FACE_BASIS)
     sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
     if sol.status != sdpcore.STATUS_OPTIMAL:
         raise CertificationError(

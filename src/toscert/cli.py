@@ -12,6 +12,7 @@ from . import certify, lqrdemo, sdpcore, tos
 from .lmikit import RegularityClass, kron_identity, max_eig
 
 EXIT_OK = 0
+EXIT_DIVERGED = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_BAD_INPUT = 4
@@ -56,8 +57,7 @@ _PROX_SPECS = {
     "l1": lambda d: tos.L1Prox(d["weight"]),
     "zero": lambda d: tos.ZeroProx(),
     "affineSubspace": lambda d: tos.AffineSubspaceProx(d["a"], d["b"]),
-    "quadratic": lambda d: tos.QuadraticProx(np.asarray(d["matrix"]),
-                                             d.get("linear")),
+    "quadratic": lambda d: tos.QuadraticProx(d["matrix"], d.get("linear")),
 }
 
 # what a malformed document or option raises while it is loaded
@@ -79,8 +79,8 @@ def _load_request(args):
     floats, and must be positive and finite, as must sweep's stepsizes.
     certify and sweep get their mode, solver tolerances and problem
     classes, sweep its stepsizes, run its splitting oracle and settings;
-    run's z0 must be a finite vector and h.matrix square of its size.
-    Raises one of _BAD_INPUT.
+    run's z0 must be a finite vector, h.matrix square of its size, and each
+    prox must apply to z0. Raises one of _BAD_INPUT.
     """
     with open(args.input) as fh:
         doc = json.load(fh)
@@ -106,6 +106,11 @@ def _load_request(args):
             raise ValueError("h.matrix must be square, of the size of z0")
         if not np.isfinite(args.z0).all():
             raise ValueError("z0 must be finite")
+        for name, prox in (("f", f), ("g", g)):
+            try:  # a prox whose data does not fit z0 fails on it
+                prox(args.alpha, args.z0)
+            except ValueError as exc:
+                raise ValueError(f"the prox of {name} fails at z0: {exc}")
         args.config = tos.TosConfig(
             alpha=args.alpha, lam=args.lam,
             max_iter=doc.get("max_iter", 1000),
@@ -162,7 +167,13 @@ def cmd_sweep(args):
 
 
 def cmd_run(args):
-    tos.run(args.oracle, args.z0, args.config).to_csv(args.out or "trace.csv")
+    try:
+        # a diverging run ends in the FloatingPointError, not in warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = tos.run(args.oracle, args.z0, args.config)
+    except FloatingPointError as exc:  # e.g. lambda >= 2 on a stiff h
+        return _fail(EXIT_DIVERGED, "diverged", str(exc), args.out)
+    trace.to_csv(args.out or "trace.csv")
     return EXIT_OK
 
 

@@ -5,12 +5,13 @@ small dense symmetric matrix: the quadratic-constraint blocks Q(m, L), their
 4x4 sandwiched versions Q1..Q3 (with the direction s_i of each one that a
 class with m == L makes negative semidefinite, Q_i = -(1/2m) s_i s_i^T),
 the Lyapunov difference matrices W0/W1/W2 and the parts they are built
-from, the Schur-complement extension, and the data of the dual rate
-program. `certify` assembles its programs and audits from these and keeps
-no copy. All builders are pure functions of their arguments. `max_eig`,
-LAPACK's top eigenvalue, is the audit margin of every certificate, taken
-on the 4x4 LMI W + sum sigma_i Q_i. `eigvalsh` is the one eigenvalue
-routine of the package: `max_eig` and the IPM loop both call it.
+from, the face of the sublinear programs, the Schur-complement extension,
+and the data of the dual rate program. `certify` assembles its programs
+and audits from these and keeps no copy. All builders are pure functions
+of their arguments. `max_eig`, LAPACK's top eigenvalue, is the audit
+margin of every certificate, taken on the 4x4 LMI W + sum sigma_i Q_i.
+`eigvalsh` is the one eigenvalue routine of the package: `max_eig` and
+the IPM loop both call it.
 """
 
 import math
@@ -99,6 +100,26 @@ def nsd_directions(alpha, f, g, h):
     return {i: s.T @ np.array([c.m, -1.0])
             for i, (s, c) in enumerate(zip(_selectors(alpha), (g, h, f)))
             if c.m == c.L}
+
+
+# The face of the sublinear programs (every m = 0): each selector maps
+# v = (1, 1, 1, 1) to (alpha, 0), so Q_i v = (alpha / 2) r_i with r_i the
+# integer second row of S_i, and FACE_FOLD, the integer left inverse of
+# [r_1 r_2 r_3], fixes sigma from M v = 0. FACE_BASIS spans v-perp; the
+# residual program also annihilates w = (0, -1, 0, 1), and RESIDUAL_BASIS
+# is an orthonormal basis of {v, w}-perp.
+FACE_FOLD = np.array([[0, -1, -1, 1], [0, -1, -1, 0], [0, 0, -1, 0]])
+FACE_BASIS = np.array([[1, 1, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]], float)
+RESIDUAL_BASIS = (np.array([[1, 0, -1, 0], [1, -1, 1, -1]]).T
+                  / [math.sqrt(2.0), 2.0])
+
+
+def face_sigma(alpha, w):
+    """-(2 / alpha) FACE_FOLD W v, the sigma with (W + sum sigma_i Q_i) v = 0.
+
+    It takes no float literal, so it is exact for Fraction alpha and W.
+    """
+    return -(2 / alpha) * (FACE_FOLD @ w.sum(axis=1))
 
 
 # The parts every certificate LMI is written from, here and nowhere else.

@@ -212,8 +212,10 @@ class QuadraticProx:
 
     def __init__(self, p, q=None):
         p = np.asarray(p, dtype=float)
+        self.q = np.zeros(len(p)) if q is None else np.asarray(q, float)
+        if p.shape != (len(p), len(p)) or self.q.shape != (len(p),):
+            raise ValueError("p must be square and q a vector of its size")
         self.p = 0.5 * (p + p.T)
-        self.q = np.zeros(p.shape[0]) if q is None else np.asarray(q, float)
         self._cache = {}
 
     def __call__(self, alpha, x):

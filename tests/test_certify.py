@@ -555,12 +555,12 @@ def _paper_program(shape, y, lmi):
         m = build_w0(lam, y[0], alpha) + _qc_sum(
             alpha, certify._case1_classes(1.0), sigma)
         # the face: equal deviations v and w = (0, -1, 0, 1) are null
-        # directions, and w = _FACE_BASIS (1, 0, -1)
-        w, wc = np.array([0.0, -1.0, 0.0, 1.0]), np.array([1.0, 0.0, -1.0])
-        assert (certify._FACE_BASIS @ wc == w).all()
-        for d in (np.ones(4), w):
+        # directions, and the basis is orthonormal and orthogonal to both
+        basis = lmikit.RESIDUAL_BASIS
+        assert np.abs(basis.T @ basis - np.eye(2)).max() <= 1e-15
+        for d in (np.ones(4), np.array([0.0, -1.0, 0.0, 1.0])):
             assert np.abs(m @ d).max() <= 1e-12 * np.abs(m).max()
-        basis = certify._FACE_BASIS @ null_space(wc[None])
+            assert not (basis.T @ d).any()
         if shape == "residual-pinned":
             return block_diag(basis.T @ m @ basis, np.diag(-sigma))
         return block_diag(_schur_on(m, lam, basis), np.diag(-sigma))
@@ -570,7 +570,7 @@ def _paper_program(shape, y, lmi):
         m = build_w1(y[1], y[0], 0.7, 2.0, 3.0) + _qc_sum(0.7, classes, sigma)
         # the face: equal deviations of every variable are a null direction
         assert np.abs(m @ np.ones(4)).max() <= 1e-12 * np.abs(m).max()
-        basis = certify._FACE_BASIS
+        basis = lmikit.FACE_BASIS
         assert np.linalg.matrix_rank(basis) == 3
         assert not (basis.T @ np.ones(4)).any()
         return block_diag(_schur_on(m, y[1], basis), np.diag(-sigma))
@@ -622,13 +622,8 @@ def test_program_matches_paper_lmi(shape, monkeypatch):
     for y in points:
         lmi = prob.f0 + sum(yi * fi for yi, fi in zip(y, prob.fi))
         ref = _paper_program(shape, y, lmi)
-        got, want = np.linalg.eigvalsh(lmi), np.linalg.eigvalsh(ref)
-        if shape.startswith("residual"):
-            # any orthonormal basis of the face's complement of w serves, so
-            # the program's matrix is the reference's up to a rotation
-            lmi, ref = np.diag(got), np.diag(want)
         assert np.abs(lmi - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
-        nsd = got.max() <= 1e-7
-        assert nsd == (want.max() <= 1e-7)
+        nsd = np.linalg.eigvalsh(lmi).max() <= 1e-7
+        assert nsd == (np.linalg.eigvalsh(ref).max() <= 1e-7)
         verdicts.append(nsd)
     assert verdicts[0] and not all(verdicts)

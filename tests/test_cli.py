@@ -158,6 +158,8 @@ def test_command_refuses_options_it_does_not_read(tmp_path, monkeypatch,
 RUN_DOC = {"f": {"type": "zero"}, "g": {"type": "box", "radius": 1.0},
            "h": {"matrix": [[1.0]]}, "z0": [1.0], "alpha": 0.5,
            "lambda": 1.0}
+RUN_DOC_2 = dict(RUN_DOC, h={"matrix": [[4.0, 0.0], [0.0, 1.0]]},
+                 z0=[1.0, 2.0])
 _LINEAR_NO_ALPHA = {k: v for k, v in LINEAR_DOC.items() if k != "alpha"}
 
 
@@ -184,13 +186,23 @@ _LINEAR_NO_ALPHA = {k: v for k, v in LINEAR_DOC.items() if k != "alpha"}
     ("run", dict(RUN_DOC, z0=[math.nan]), []),
     ("run", dict(RUN_DOC, z0=[1.0, 2.0]), []),
     ("run", dict(RUN_DOC, max_iter=2.5), []),
+    ("run", dict(RUN_DOC_2, g={"type": "box", "radius": [1.0, 1.0, 1.0]}),
+     []),
+    ("run", dict(RUN_DOC_2, g={"type": "l1", "weight": [1.0, 1.0, 1.0]}), []),
+    ("run", dict(RUN_DOC_2, f={"type": "affineSubspace",
+                               "a": [[1.0, 0.0, 0.0]], "b": [1.0]}), []),
+    ("run", dict(RUN_DOC_2, f={"type": "quadratic", "matrix": [[1.0]]}), []),
+    ("run", dict(RUN_DOC_2, f={"type": "quadratic", "linear": [1.0],
+                               "matrix": [[1.0, 0.0], [0.0, 1.0]]}), []),
 ], ids=["certify-no-alpha", "certify-array", "sweep-array", "run-array",
         "certify-alpha-x", "run-alpha-x", "certify-f-3", "certify-f-m-inf",
         "run-f-3", "run-no-lambda", "grid-bogus-scale", "grid-no-points",
         "document-grid-empty", "certify-alpha-0", "certify-alpha-nan",
         "certify-document-alpha-negative",
         "grid-negative-points", "document-grid-inf", "sweep-lambda-inf",
-        "run-z0-nan", "run-z0-size", "run-max-iter-2.5"])
+        "run-z0-nan", "run-z0-size", "run-max-iter-2.5", "run-box-radius",
+        "run-l1-weight", "run-affine-columns", "run-quadratic-matrix",
+        "run-quadratic-linear"])
 def test_malformed_input_exit_code(tmp_path, capsys, command, doc, opts):
     inp = _write(tmp_path / "in.json", doc)
     out = str(tmp_path / "out")
@@ -257,6 +269,21 @@ def test_run_writes_trace(tmp_path):
         lines = fh.read().strip().splitlines()
     assert len(lines) == 51
     assert lines[0].startswith("k,residual_norm2")
+
+
+def test_run_reports_divergence(tmp_path, capsys):
+    # lambda = 3 is no input error: at alpha = 0.1 the run contracts, at
+    # alpha = 0.4 it diverges (z' = (I - lam alpha h) z) and is reported
+    doc = dict(RUN_DOC_2, f={"type": "zero"}, g={"type": "zero"},
+               max_iter=2000, **{"lambda": 3.0})
+    out = str(tmp_path / "trace.csv")
+    inp = _write(tmp_path / "run.json", dict(doc, alpha=0.1))
+    assert cli.main(["run", inp, "--out", out]) == cli.EXIT_OK
+    inp = _write(tmp_path / "run.json", dict(doc, alpha=0.4))
+    assert cli.main(["run", inp, "--out", out]) == cli.EXIT_DIVERGED == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "diverged"
+    with open(out) as fh:
+        assert json.load(fh)["error"] == "diverged"
 
 
 def test_run_unknown_prox_type(tmp_path):

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toscert.lmikit import (KRON_DIM_CAP, RegularityClass, build_dual_data,
+from toscert import lmikit
+from toscert.lmikit import (FACE_FOLD, KRON_DIM_CAP, RELAX_LIN, RELAX_P,
+                            RegularityClass, build_dual_data,
                             build_qc_triplet, build_w0, build_w1, build_w2,
-                            eigvalsh, eta_vector, kron_identity, max_eig,
-                            qc_base, schur_extend, sym_check)
+                            eigvalsh, eta_vector, face_sigma, kron_identity,
+                            max_eig, qc_base, schur_extend, sym_check,
+                            w1_slope)
 from test_sdpcore import _exact_pd
 
 
@@ -73,6 +76,40 @@ def test_build_qc_triplet_shapes():
     for q in build_qc_triplet(0.3, f, g, h):
         assert q.shape == (4, 4)
         assert np.allclose(q, q.T)
+
+
+def test_face_sigma_is_exact_in_fractions():
+    # Q_i v = (alpha / 2) r_i on the face, r_i the second row of S_i, and
+    # FACE_FOLD is the left inverse of [r_1 r_2 r_3]: in rationals the fold
+    # meets sum sigma_i (alpha / 2) r_i = -W v with no roundoff
+    for alpha in (Fraction(1, 1000), Fraction(1, 3), Fraction(1),
+                  Fraction(7, 2)):
+        rows = np.array([[Fraction(x) for x in s[1]]
+                         for s in lmikit._selectors(alpha)], dtype=object)
+        assert (FACE_FOLD @ rows.T == np.eye(3, dtype=int)).all()
+        for w in (RELAX_P, RELAX_LIN):
+            wq = np.array([[Fraction(int(x)) for x in row] for row in w],
+                          dtype=object)
+            assert (wq == w).all()
+            sigma = face_sigma(alpha, wq)
+            assert all(isinstance(s, Fraction) for s in sigma)
+            assert (sigma @ rows * (alpha / 2) == -wq.sum(axis=1)).all()
+
+
+@pytest.mark.parametrize("alpha, lf, lh", [
+    (0.7, 2.0, 3.0), (0.05, 30.0, 1.0), (4.0079, 10.0, 1.0), (1.0, 1.0, 1.0)])
+def test_face_sigma_matches_least_squares(alpha, lf, lh):
+    # the closed-form fold against a least-squares solve of M v = 0
+    qs = build_qc_triplet(alpha, RegularityClass(0.0, lf),
+                          RegularityClass(0.0, math.inf),
+                          RegularityClass(0.0, lh))
+    v = np.ones(4)
+    qv = np.column_stack([q @ v for q in qs])
+    w = w1_slope(alpha, lf, lh)
+    want = np.linalg.lstsq(qv, -w @ v, rcond=None)[0]
+    got = face_sigma(alpha, w)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    assert np.abs(w @ v + qv @ got).max() <= 1e-12 * np.abs(w).max()
 
 
 def test_sym_check_symmetrizes_and_validates():

@@ -27,9 +27,10 @@ operation, and prints, per section and in total: how many are identical,
 how many differ only in their bits (same status), each status
 transition, the total iterations, the undecided solves (`maxIterations`
 and `numericalFailure`) of each side, the certificates issued and the
-largest change in an issued rate. It counts the identical and the
-differing `lqr-demo` traces apart, naming the fields that differ. It exits
-1 when any solve or trace differs.
+largest change in an issued rate, absolute and relative to the first
+record's rate. It counts the identical and the differing `lqr-demo`
+traces apart, naming the fields that differ. It exits 1 when any solve
+or trace differs.
 
 To compare two commits, copy this file into a checkout of each and run
 `dump` there.
@@ -218,14 +219,17 @@ def _compare(rows_a, rows_b, total):
             count["issued_" + side] += sum(r is not None for r in row["rates"])
         for a, b in zip(ra["rates"], rb["rates"]):
             if a is not None and b is not None:
-                change = abs(float.fromhex(a) - float.fromhex(b))
+                a, b = float.fromhex(a), float.fromhex(b)
+                change = abs(a - b)
+                rel = change / abs(a) if a else (0.0 if a == b else math.inf)
             else:
-                change = 0.0 if a == b else math.inf
+                change = rel = 0.0 if a == b else math.inf
             count["worst"] = max(count["worst"], change)
+            count["worst_rel"] = max(count["worst_rel"], rel)
     count["moves"] = len(moves)
     count["unmatched"] = unmatched
     for key, value in count.items():
-        if key == "worst":
+        if key.startswith("worst"):
             total[key] = max(total[key], value)
         else:
             total[key] += value
@@ -237,7 +241,8 @@ def _report(name, c):
           f"{c['moves']} change status; iterations {c['iters_a']} -> "
           f"{c['iters_b']}; undecided {c['undecided_a']} -> "
           f"{c['undecided_b']}; issued {c['issued_a']} -> {c['issued_b']}; "
-          f"largest rate change {c['worst']:.3g}")
+          f"largest rate change {c['worst']:.3g} "
+          f"({c['worst_rel']:.3g} relative)")
     if c["unmatched"]:
         print(f"    {c['unmatched']} operations or solves have no counterpart")
 
