@@ -9,6 +9,7 @@ sweeps, and empirical Lyapunov validation of certificates on solver traces.
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import null_space
@@ -255,6 +256,18 @@ def certify_residual_rate(alpha, lam, classes,
         margin=margin, provenance="sdp", theta=theta)
 
 
+def _objective_program(alpha, Lf, Lh):
+    """The objective-rate program on lmikit.FACE_BASIS, its unpack map and
+    its classes (f with L = Lf, nonsmooth g, h with L = Lh, every m = 0)."""
+    classes = ProblemClasses(RegularityClass(0.0, Lf),
+                             RegularityClass(0.0, math.inf),
+                             RegularityClass(0.0, Lh))
+    prob, unpack = _rate_program(-1.0, np.zeros((4, 4)),
+                                 w1_slope(alpha, Lf, Lh), alpha, classes,
+                                 basis=FACE_BASIS)
+    return prob, unpack, classes
+
+
 def certify_objective_rate(alpha, Lf, Lh, feas_tol=sdpcore.DEFAULT_FEAS_TOL,
                            gap_tol=sdpcore.DEFAULT_GAP_TOL,
                            max_iter=sdpcore.DEFAULT_MAX_ITER):
@@ -264,17 +277,39 @@ def certify_objective_rate(alpha, Lf, Lh, feas_tol=sdpcore.DEFAULT_FEAS_TOL,
     lam searched over [LAM_MIN, LAM_MAX], on the face M v = 0 spanned by
     lmikit.FACE_BASIS: it fixes sigma as a linear function of (theta, lam)
     (lmikit.face_sigma). A certificate is issued only from an optimal solve.
+
+    No solve is made when alpha Lh >= 4 - 2 LAM_MIN, compared exactly in
+    Fraction: no lam in [LAM_MIN, LAM_MAX] then admits a positive theta.
+    This is Davis and Yin's relaxation range lam <= 2 - alpha Lh / 2
+    (Set-Valued Var. Anal. 25, 2017). The proof, on the face:
+    - face_sigma gives sigma = theta s_t + lam s_l with
+      s_t = -(1 / alpha^2)(1, 1, 1) and s_l = (2 / alpha)(1, 1, 1), so a
+      larger theta only tightens sigma >= 0.
+    - theta's coefficient is PSD. Its 3x3 face block
+      B = FACE_BASIS^T (w1_slope + sum s_t,i Q_i) FACE_BASIS has the
+      leading minors (Lh (alpha Lf - 1)^2 + 9 Lf + Lh) / (2 Lf Lh alpha^2),
+      (16 Lf^2 alpha^2 + 9 Lf Lh alpha^2 + 40 Lf alpha + 50)
+      / (4 Lf Lh alpha^4) and 2 / (Lh alpha^4), all positive; its diagonal
+      tail is 1 / alpha^2 on the sigma rows and 0 on the lam rows. So if
+      (theta >= 0, lam) is feasible, so is (0, lam).
+    - At theta = 0 the Schur block is NSD iff L3 + lam e e^T <= 0, with
+      L3 = FACE_BASIS^T (RELAX_LIN + sum s_l,i Q_i) FACE_BASIS and
+      e = (1, 2, 1). Its determinant is
+      det(-(L3 + lam e e^T)) = 32 (4 - alpha Lh - 2 lam) / (Lf Lh alpha^2),
+      and -L3 > 0 iff alpha Lh < 4, so the block is NSD iff
+      alpha Lh + 2 lam <= 4. The smallest lam is LAM_MIN.
+    - At equality only theta = 0 is feasible (B > 0), and a zero theta is
+      refused as it is after a solve.
     """
-    if not alpha > 0:
-        raise CertificationError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise CertificationError("alpha must be positive and finite")
     if not (math.isfinite(Lf) and math.isfinite(Lh) and Lf > 0 and Lh > 0):
         raise CertificationError("Lf and Lh must be finite and positive")
-    classes = ProblemClasses(RegularityClass(0.0, Lf),
-                             RegularityClass(0.0, math.inf),
-                             RegularityClass(0.0, Lh))
-    prob, unpack = _rate_program(-1.0, np.zeros((4, 4)),
-                                 w1_slope(alpha, Lf, Lh), alpha, classes,
-                                 basis=FACE_BASIS)
+    if Fraction(alpha) * Fraction(Lh) >= 4 - 2 * Fraction(LAM_MIN):
+        raise CertificationError(
+            "alpha * Lh >= 4 - 2 LAM_MIN: no lam in [LAM_MIN, LAM_MAX] gives "
+            "a positive theta (Davis-Yin range lam <= 2 - alpha Lh / 2)")
+    prob, unpack, classes = _objective_program(alpha, Lf, Lh)
     sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
     if sol.status != sdpcore.STATUS_OPTIMAL:
         raise CertificationError(

@@ -196,6 +196,151 @@ def test_objective_rate_validation():
         certify_objective_rate(1.0, math.inf, 1.0)
 
 
+# the objective program's closed forms: exact data in Fraction, written from
+# the definitions (Q(0, L) = [[0, 1/2], [1/2, -1/L]] on each selector, W1's
+# theta slope), and a rational grid of (alpha, Lf, Lh)
+OBJECTIVE_GRID = [tuple(F(v) for v in p) for p in
+                  [(a, lf, lh) for a in ("1/4", "1/2", "1", "7/3", "5")
+                   for lf in ("1/2", "1", "3", "10")
+                   for lh in ("1/3", "1", "3", "30")]]
+FACE_E = np.array([[1], [2], [1]])
+
+
+def _exact_objective_data(alpha, lf, lh):
+    """(Q_1, Q_2, Q_3) of g nonsmooth, h and f smooth, and W1's theta slope."""
+    def q(sel, lc):
+        s = np.array(sel, dtype=object)
+        base = np.array([[F(0), F(1, 2)], [F(1, 2), -1 / lc if lc else F(0)]],
+                        dtype=object)
+        return s.T @ base @ s
+    qs = (q([[alpha, 0, 0, 0], [-1, 0, 0, 1]], None),
+          q([[alpha, 0, 0, 0], [2, -1, 0, -1]], lh),
+          q([[0, 0, alpha, 0], [0, 1, -1, 0]], lf))
+    c = 1 / (alpha ** 2 * lh)
+    b = -(1 / (2 * alpha) + lf / 2)
+    slope = np.array([[1 / alpha + lf / 2 - 2 * c, c, b, c],
+                      [c, -c / 2, 0, -c / 2],
+                      [b, 0, lf / 2, 0],
+                      [c, -c / 2, 0, -c / 2]], dtype=object)
+    return qs, slope
+
+
+def _on_face(alpha, w, qs):
+    """(sigma, FACE_BASIS^T (W + sum sigma_i Q_i) FACE_BASIS) for W's sigma."""
+    sigma = lmikit.face_sigma(alpha, w)
+    u = lmikit.FACE_BASIS.astype(int)
+    return sigma, u.T @ (w + sum(si * qi for si, qi in zip(sigma, qs))) @ u
+
+
+def _leading_minors(m):
+    """The leading principal minors of a 3x3 matrix, in exact arithmetic."""
+    (a, b, c), (d, e, f), (g, h, i) = [[F(v) for v in row] for row in m]
+    return a, a * e - b * d, a * (e * i - f * h) - b * (d * i - f * g) \
+        + c * (d * h - e * g)
+
+
+def _slope_minors(a, lf, lh):
+    """The closed-form leading minors of B, theta's face block."""
+    return ((lh * (a * lf - 1) ** 2 + 9 * lf + lh) / (2 * lf * lh * a ** 2),
+            (16 * lf ** 2 * a ** 2 + 9 * lf * lh * a ** 2 + 40 * lf * a + 50)
+            / (4 * lf * lh * a ** 4),
+            2 / (lh * a ** 4))
+
+
+def _lam_det(a, lf, lh, lam):
+    """The closed form of det(-(L3 + lam e e^T))."""
+    return 32 * (4 - a * lh - 2 * lam) / (lf * lh * a ** 2)
+
+
+def test_objective_rule_closed_forms_are_exact():
+    # the proof in certify_objective_rate's docstring, in Fraction
+    relax_lin = lmikit.RELAX_LIN.astype(int)
+    assert (lmikit.FACE_BASIS.T @ eta_vector(1.0)).tolist() == [1, 2, 1]
+    for a, lf, lh in OBJECTIVE_GRID:
+        qs, slope = _exact_objective_data(a, lf, lh)
+        s_theta, b = _on_face(a, slope, qs)
+        s_lam, l3 = _on_face(a, relax_lin, qs)
+        assert s_theta.tolist() == [-1 / a ** 2] * 3
+        assert s_lam.tolist() == [2 / a] * 3
+        minors = _leading_minors(b)
+        assert minors == _slope_minors(a, lf, lh)
+        assert all(d > 0 for d in minors)
+        assert all(d > 0 for d in _leading_minors(-l3)) == (a * lh < 4)
+        for lam in (F(certify.LAM_MIN), F(1, 2), F(2), F(certify.LAM_MAX)):
+            m = -(l3 + lam * (FACE_E @ FACE_E.T))
+            assert _leading_minors(m)[2] == _lam_det(a, lf, lh, lam)
+
+
+def test_objective_program_matches_the_closed_forms():
+    # the float program the producer solves, against the closed forms at
+    # the rationals its floats are
+    for point in OBJECTIVE_GRID:
+        x = tuple(float(v) for v in point)
+        a, lf, lh = (F(v) for v in x)
+        prob = certify._objective_program(*x)[0]
+        f_theta, f_lam = prob.fi
+        for got, want in zip(_leading_minors(f_theta[:3, :3]),
+                             _slope_minors(a, lf, lh)):
+            assert abs(got - want) <= F(1e-12) * want
+        # theta's border row and lam rows are zero, its sigma rows 1/alpha^2
+        assert np.allclose(f_theta[3:, 3:],
+                           np.diag([0, 0, 0] + [1 / x[0] ** 2] * 3),
+                           rtol=1e-12, atol=0)
+        assert not f_theta[3, :3].any()
+        assert np.array_equal(f_lam[:3, 3], [1.0, 2.0, 1.0])
+        assert np.allclose(np.diag(f_lam)[4:], [-1, 1] + [-2 / x[0]] * 3,
+                           rtol=1e-12, atol=0)
+        assert np.array_equal(prob.f0, np.diag(
+            [0, 0, 0, -1, certify.LAM_MIN, -certify.LAM_MAX, 0, 0, 0]))
+        for lam in (F(certify.LAM_MIN), F(1, 2), F(2)):
+            got = _leading_minors(-(f_lam[:3, :3] + lam * (FACE_E @ FACE_E.T)))
+            scale = 32 * (4 + a * lh + 2 * lam) / (lf * lh * a ** 2)
+            assert abs(got[2] - _lam_det(a, lf, lh, lam)) <= F(1e-12) * scale
+
+
+def _counted_solves(monkeypatch):
+    """The list that every later sdpcore.solve_sdp call appends its status to."""
+    statuses = []
+    solve = sdpcore.solve_sdp
+
+    def counted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        statuses.append(sol.status)
+        return sol
+    monkeypatch.setattr(sdpcore, "solve_sdp", counted)
+    return statuses
+
+
+@pytest.mark.parametrize("lh", [0.7, 1.0, 3.0, 10.0, 30.0])
+def test_objective_rule_refuses_without_a_solve(monkeypatch, lh):
+    bound = 4 - 2 * F(certify.LAM_MIN)
+    alpha = float(bound / F(lh))
+    while F(alpha) * F(lh) < bound:
+        alpha = math.nextafter(alpha, math.inf)
+    # alpha is the first float on the refused side
+    assert F(math.nextafter(alpha, 0.0)) * F(lh) < bound
+    statuses = _counted_solves(monkeypatch)
+    for a in (alpha, 4.0 / lh, 1e300):
+        with pytest.raises(CertificationError, match="4 - 2 LAM_MIN"):
+            certify_objective_rate(a, 2.0, lh)
+    assert statuses == []
+    cert = certify_objective_rate(3.99 / lh, 2.0, lh)
+    assert statuses == [sdpcore.STATUS_OPTIMAL]
+    assert cert.theta > 0 and cert.margin <= 1e-8
+
+
+def test_objective_sweep_refuses_past_the_rule_without_a_solve(monkeypatch):
+    grid = [0.5, 1.0, 1.9, 2.0, 2.5, 4.0]
+    classes = _cls(0.0, 3.0, 0.0, math.inf, 0.0, 2.0)
+    statuses = _counted_solves(monkeypatch)
+    curve, (best_alpha, _) = sweep_alpha(grid, classes, MODE_OBJECTIVE)
+    assert [rec["feasible"] for rec in curve] == [True] * 3 + [False] * 3
+    assert statuses == [sdpcore.STATUS_OPTIMAL] * 3
+    for rec in curve[3:]:
+        assert rec["rate"] == 0.0 and rec["lambda"] is None
+    assert best_alpha in grid[:3]
+
+
 def test_linear_rate_point():
     # strongly convex g, smooth h; frozen from a converged solve
     cert = certify_linear_rate(0.2, STRONG_G)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from toscert import certify, cli
+from toscert import certify, cli, sdpcore
 from toscert.lmikit import build_w2
 
 
@@ -57,6 +57,31 @@ def test_certify_infeasible_exit_code(tmp_path):
     with open(out) as fh:
         err = json.load(fh)
     assert err["error"] == "infeasible"
+
+
+OBJECTIVE_DOC = {
+    "mode": "sublinearObjective",
+    "f": {"m": 0, "L": 3},
+    "g": {"m": 0, "L": "inf"},
+    "h": {"m": 0, "L": 2},
+}
+
+
+@pytest.mark.parametrize("alpha", [2.0, 2.5, 100.0])
+def test_certify_objective_refuses_past_davis_yin_range(tmp_path, monkeypatch,
+                                                         alpha):
+    # alpha L_h >= 4 - 2 LAM_MIN admits no positive theta: refused, no solve
+    def banned(*args, **kwargs):
+        raise AssertionError("solve_sdp called")
+
+    monkeypatch.setattr(sdpcore, "solve_sdp", banned)
+    inp = _write(tmp_path / "in.json", dict(OBJECTIVE_DOC, alpha=alpha))
+    out = str(tmp_path / "err.json")
+    assert cli.main(["certify", inp, "--out", out]) == cli.EXIT_INFEASIBLE
+    with open(out) as fh:
+        err = json.load(fh)
+    assert err["error"] == "infeasible"
+    assert "alpha * Lh >= 4 - 2 LAM_MIN" in err["message"]
 
 
 RESIDUAL_DOC = {

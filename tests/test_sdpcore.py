@@ -66,6 +66,12 @@ def test_infeasible_detection():
     assert sol.status == STATUS_INFEASIBLE
 
 
+def _objective_solve(alpha, lf, lh):
+    """solve_sdp on the objective-rate program, which the producer refuses
+    without a solve when alpha lh >= 4 - 2 LAM_MIN: an IPM fixture."""
+    return solve_sdp(certify._objective_program(alpha, lf, lh)[0])
+
+
 def test_refusal_is_one_solve(monkeypatch):
     # solve_sdp refuses from the Farkas ray of its own run, never from a
     # second feasibility_margin solve
@@ -75,8 +81,7 @@ def test_refusal_is_one_solve(monkeypatch):
     monkeypatch.setattr(sdpcore, "feasibility_margin", second_solve)
     test_infeasible_detection()
     alpha = np.geomspace(0.05, 5.0, 30)[-2]
-    with pytest.raises(certify.CertificationError, match="ended infeasible"):
-        certify.certify_objective_rate(alpha, 3.0, 3.0)
+    assert _objective_solve(alpha, 3.0, 3.0).status == STATUS_INFEASIBLE
 
 
 def test_certificate_margin_tracks_theta():
@@ -239,22 +244,17 @@ def test_iterations_are_steplen_calls_over_four(monkeypatch):
     assert sol.status == STATUS_OPTIMAL
     assert calls[0] == 4 * sol.iterations > 0
     calls[0] = 0
-    with pytest.raises(certify.CertificationError, match="ended infeasible"):
-        certify.certify_objective_rate(5.0, 3.0, 3.0)
-    sol = solved[-1]
+    sol = _objective_solve(5.0, 3.0, 3.0)
     assert sol.status == STATUS_INFEASIBLE
     assert calls[0] == 4 * sol.iterations > 0
 
 
 @pytest.mark.parametrize("point, most", [((5.0, 3.0, 3.0), 12),
                                          ((4.2658, 30.0, 30.0), 14)])
-def test_refusal_ends_on_a_projected_ray(monkeypatch, point, most):
+def test_refusal_ends_on_a_projected_ray(point, most):
     # the iterate projected onto {X : A_i . X = 0} is a ray 12 iterations
     # before the 1e-4 test alone ends the run (at 23 and 25)
-    solved = _recorded_solves(monkeypatch)
-    with pytest.raises(certify.CertificationError, match="ended infeasible"):
-        certify.certify_objective_rate(*point)
-    (sol,) = solved
+    sol = _objective_solve(*point)
     assert sol.status == STATUS_INFEASIBLE
     assert sol.iterations <= most
 
@@ -264,8 +264,7 @@ def test_refusal_falls_back_to_the_approximate_ray():
     # leaves the cone; without the fallback it ends numericalFailure. It
     # also ends the run at test_refusal_is_one_solve's (4.2658, 3, 3), on
     # the first iterate whose projection is an exact ray too
-    with pytest.raises(certify.CertificationError, match="ended infeasible"):
-        certify.certify_objective_rate(5.0, 10.0, 1.0)
+    assert _objective_solve(5.0, 10.0, 1.0).status == STATUS_INFEASIBLE
 
 
 def test_norm_matches_numpy_bitwise():
@@ -277,7 +276,8 @@ def test_norm_matches_numpy_bitwise():
 
 
 def _loop_outcomes(monkeypatch):
-    """Every solve of the analytic instances and of three certificate calls.
+    """Every solve of the analytic instances, two certificate calls and one
+    refused objective program.
 
     Undoes every monkeypatch once the solves are made.
     """
@@ -285,8 +285,8 @@ def _loop_outcomes(monkeypatch):
     for prob, _ in analytic_instances():
         sdpcore.solve_sdp(prob)
     certify.certify_objective_rate(1.0, 1.0, 1.0)
-    with pytest.raises(certify.CertificationError, match="ended infeasible"):
-        certify.certify_objective_rate(5.0, 3.0, 3.0)
+    refused = certify._objective_program(5.0, 3.0, 3.0)[0]
+    assert sdpcore.solve_sdp(refused).status == STATUS_INFEASIBLE
     strong_g = certify.ProblemClasses(RegularityClass(0.0, math.inf),
                                       RegularityClass(1.0, 10.0),
                                       RegularityClass(0.0, 20.0))
@@ -454,8 +454,8 @@ def test_loop_takes_eigenvalues_only_for_steps_rays_and_lifts(monkeypatch):
     certify.certify_objective_rate(1.0, 1.0, 1.0)
     iters = sum(sol.iterations for sol in solved)
     assert callers == {"_steplen": 4 * iters}
-    with pytest.raises(certify.CertificationError, match="ended infeasible"):
-        certify.certify_objective_rate(5.0, 3.0, 3.0)
+    refused = certify._objective_program(5.0, 3.0, 3.0)[0]
+    assert sdpcore.solve_sdp(refused).status == STATUS_INFEASIBLE
     assert callers["_steplen"] == 4 * sum(sol.iterations for sol in solved)
     assert set(callers) == {"_steplen", "_ipm"}
 
@@ -463,14 +463,10 @@ def test_loop_takes_eigenvalues_only_for_steps_rays_and_lifts(monkeypatch):
 @pytest.mark.parametrize("alpha, lf, lh, iters", [
     ("0x1.a42cc1e6ab476p+0", 10.0, 3.0, 20),    # seeded_grid(..., 1)[22]
     ("0x1.d327f4fdc82ebp-2", 30.0, 10.0, 17)])  # seeded_grid(..., 2)[14]
-def test_nearly_feasible_refusals_end_infeasible(monkeypatch, alpha, lf, lh,
-                                                 iters):
+def test_nearly_feasible_refusals_end_infeasible(alpha, lf, lh, iters):
     # two objective-surface points whose runs ended numericalFailure while
     # the loop refactored each step; they meet the scaled tolerances but
     # have audit slack near 1e-6
-    solved = _recorded_solves(monkeypatch)
-    with pytest.raises(certify.CertificationError, match="ended infeasible"):
-        certify.certify_objective_rate(float.fromhex(alpha), lf, lh)
-    (sol,) = solved
+    sol = _objective_solve(float.fromhex(alpha), lf, lh)
     assert sol.status == STATUS_INFEASIBLE
     assert sol.iterations == iters

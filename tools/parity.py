@@ -6,7 +6,12 @@
 `dump` imports `toscert` from `src/` of the tree this file sits in and
 wraps `sdpcore.solve_sdp`. It then runs the operations of
 `objective-surface` at seeds 0-3 and of `linear-duality` at seed 0, with
-inputs from `perfbench.workloads`, the residual-rate grid (lambda
+inputs from `perfbench.workloads`, `objective-refusals` (the seed-0
+surface points that `certify_objective_rate` refuses without a solve,
+alpha L_h >= 4 - 2 LAM_MIN, each program solved once through
+`certify._objective_program`, so that the IPM's Farkas path stays
+covered; a tree without that helper solves the same program inside the
+producer), the residual-rate grid (lambda
 joint, 0.5, 1.0 and 1.5 over the surface's stepsizes), `linear-near-equal`
 (linear-duality's set e, whose f has m = L = 20, with L_f raised to
 20 (1 + delta): a joint certificate and one pinned at its lambda over set
@@ -28,9 +33,11 @@ how many differ only in their bits (same status), each status
 transition, the total iterations, the undecided solves (`maxIterations`
 and `numericalFailure`) of each side, the certificates issued and the
 largest change in an issued rate, absolute and relative to the first
-record's rate. It counts the identical and the differing `lqr-demo`
+record's rate. Solves missing at operations that refuse on both sides
+are counted apart from the other solves or operations without a
+counterpart. It counts the identical and the differing `lqr-demo`
 traces apart, naming the fields that differ. It exits 1 when any solve
-or trace differs.
+or trace differs or has no counterpart.
 
 To compare two commits, copy this file into a checkout of each and run
 `dump` there.
@@ -41,6 +48,7 @@ import math
 import os
 import sys
 from collections import Counter
+from fractions import Fraction
 
 # fixed before numpy loads, as the benchmark fixes it
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -71,6 +79,8 @@ def _sections():
         yield (f"objective-surface/{seed}",
                workloads.ObjectiveSurface(seed).operations(),
                lambda outcome: theta(outcome[1]))
+    yield ("objective-refusals", list(_refusal_operations()),
+           lambda value: [value])
     yield ("linear-duality/0", workloads.LinearDuality(0).operations(),
            lambda outcome: [None if c is None else c.rho2
                             for c in (outcome["joint"], outcome["pinned"])])
@@ -85,6 +95,31 @@ def _sections():
     yield ("linear-near-equal", list(_near_equal_operations()),
            lambda certs: [None if c is None else c.rho2 for c in certs])
     yield ("sdpcore-cases", list(_sdpcore_cases()), lambda value: [value])
+
+
+def _refusal_operations():
+    """One solve of each seed-0 surface program the objective rule refuses.
+
+    An operation issues the theta the producer would read from its solve,
+    None where the solve does not end optimal with theta > 0.
+    """
+    from perfbench import workloads
+    from toscert import certify, sdpcore
+
+    program = getattr(certify, "_objective_program", None)
+    bound = 4 - 2 * Fraction(certify.LAM_MIN)
+
+    def solve(point):
+        if program is None:
+            cert = workloads._certify_or_none(certify.certify_objective_rate,
+                                              *point)
+            return None if cert is None else cert.theta
+        sol = sdpcore.solve_sdp(program(*point)[0])
+        optimal = sol.status == sdpcore.STATUS_OPTIMAL and sol.y[0] > 0
+        return float(sol.y[0]) if optimal else None
+    for point in workloads.ObjectiveSurface(0).points:
+        if Fraction(point[0]) * Fraction(point[2]) >= bound:
+            yield lambda point=point: solve(point)
 
 
 def _near_equal_operations():
@@ -204,7 +239,11 @@ def _compare(rows_a, rows_b, total):
     moves = []
     unmatched = abs(len(rows_a) - len(rows_b))
     for op, (ra, rb) in enumerate(zip(rows_a, rows_b)):
-        unmatched += abs(len(ra["solves"]) - len(rb["solves"]))
+        missing = abs(len(ra["solves"]) - len(rb["solves"]))
+        if all(r is None for r in ra["rates"] + rb["rates"]):
+            count["dropped"] += missing
+        else:
+            unmatched += missing
         for k, (sa, sb) in enumerate(zip(ra["solves"], rb["solves"])):
             if sa == sb:
                 count["same"] += 1
@@ -243,6 +282,9 @@ def _report(name, c):
           f"{c['undecided_b']}; issued {c['issued_a']} -> {c['issued_b']}; "
           f"largest rate change {c['worst']:.3g} "
           f"({c['worst_rel']:.3g} relative)")
+    if c["dropped"]:
+        print(f"    {c['dropped']} solves missing at operations that refuse "
+              f"on both sides")
     if c["unmatched"]:
         print(f"    {c['unmatched']} operations or solves have no counterpart")
 
@@ -287,7 +329,8 @@ def diff(path_a, path_b):
             print(f"    operation {op} solve {k}: {sa['status']} in "
                   f"{sa['iterations']} -> {sb['status']} in "
                   f"{sb['iterations']} iterations")
-        clean = clean and not (count["bits"] or moves or count["unmatched"])
+        clean = clean and not (count["bits"] or moves or count["unmatched"]
+                               or count["dropped"])
     _report("total", total)
     return 0 if clean else 1
 
