@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import null_space
 
 from . import sdpcore
+from ._lapack import null_space
 # build_w2 and schur_extend are unused here; the traced benchmark patches them
 from .lmikit import (FACE_BASIS, RATE_E, RELAX_LIN, RESIDUAL_BASIS,
                      RegularityClass, build_dual_data, build_qc_triplet,
@@ -452,7 +452,14 @@ def dual_linear_rate(alpha, lam, classes, feas_tol=sdpcore.DEFAULT_FEAS_TOL,
 
 
 def certify_rate(mode, alpha, classes, lam=None, **solver_kw):
-    """The certificate of one mode at one stepsize; lam=None optimizes it."""
+    """The certificate of one mode at one stepsize; lam=None optimizes it.
+
+    The objective mode always optimizes lam, so a lam for it is a
+    ValueError.
+    """
+    if mode == MODE_OBJECTIVE and lam is not None:
+        raise ValueError("the objective mode optimizes lambda; "
+                         "it takes no pinned lambda")
     if mode == MODE_LINEAR:
         return certify_linear_rate(alpha, classes, lam=lam, **solver_kw)
     if mode == MODE_RESIDUAL:

@@ -77,8 +77,9 @@ def _load_request(args):
     Each command's parser holds only the options it reads, and only those
     are checked. alpha and lambda come from the flag, else the document, as
     floats, and must be positive and finite, as must sweep's stepsizes.
-    certify and sweep get their mode, solver tolerances and problem
-    classes, sweep its stepsizes, run its splitting oracle and settings;
+    certify and sweep get their mode (the objective mode, which optimizes
+    lambda, takes none), solver tolerances and problem classes, sweep its
+    stepsizes, run its splitting oracle and settings;
     run's z0 must be a finite vector, h.matrix square of its size, and each
     prox must apply to z0. Raises one of _BAD_INPUT.
     """
@@ -119,6 +120,9 @@ def _load_request(args):
     args.mode = args.mode or doc.get("mode")
     if args.mode not in certify.SENTINEL_RATE:
         raise ValueError(f"unknown mode {args.mode}")
+    if args.mode == certify.MODE_OBJECTIVE and args.lam is not None:
+        raise ValueError("the objective mode optimizes lambda; "
+                         "it takes no --lambda or document lambda")
     sdpcore.check_options(args.tol_feas, args.tol_gap, args.max_iter)
     args.classes = _classes_from_doc(doc)
     if args.command == "sweep":

@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsyevd
+
+from ._lapack import dsyevd
 
 KRON_DIM_CAP = 64
 

@@ -9,7 +9,7 @@ E = diag(Q, ..., Q, R, ..., R).
 
 The projection onto D solves with a banded Cholesky factor of the block
 tridiagonal Gram A_c A_c^T of the dynamics rows, factored once per
-instance and applied by LAPACK pbtrs, so a splitting step costs O(N n^2)
+instance and applied by LAPACK dpbtrs, so a splitting step costs O(N n^2)
 rather than a dense solve.
 At the demo's default size (n = 20, m = 5, N = 20) the input box rarely
 binds at the optimum: of instance seeds 0-30 only 18 and 21 saturate an
@@ -21,9 +21,9 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, get_lapack_funcs
 
 from . import tos
+from ._lapack import dpbtrf, dpbtrs
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def build_instance(seed, n, m, horizon):
 
 
 def _gram_band(inst):
-    """Upper band of the Gram A_c A_c^T, in the layout of cholesky_banded.
+    """Upper band of the Gram A_c A_c^T, in LAPACK's dpbtrf layout.
 
     The Gram is block tridiagonal: I, then I + A A^T + B B^T on the diagonal
     and -A below it, so its upper bandwidth is 2n - 1.
@@ -104,9 +104,10 @@ def assemble_oracles(inst):
     a, b, q, r, x_init = inst.a, inst.b, inst.q, inst.r, inst.x_init
     n, m, horizon = a.shape[0], b.shape[1], inst.horizon
     layout = TrajectoryLayout(n, m, horizon)
-    # cholesky_banded checks the band once; each solve checks its rhs only
-    gram_chol = cholesky_banded(_gram_band(inst))
-    pbtrs, = get_lapack_funcs(("pbtrs",), (gram_chol,))
+    # the band is checked for finite values once; each solve checks its rhs
+    gram_chol, info = dpbtrf(np.asarray_chkfinite(_gram_band(inst)))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpbtrf of the Gram failed (info {info})")
     ublock = layout.u_block()
 
     def blocks(w):
@@ -127,9 +128,9 @@ def assemble_oracles(inst):
         res[1:] = xs[1:] - xs[:-1] @ a.T - us @ b.T
         if not np.isfinite(res).all():
             raise ValueError("array must not contain infs or NaNs")
-        ys, info = pbtrs(gram_chol, res.ravel())
+        ys, info = dpbtrs(gram_chol, res.ravel())
         if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of pbtrs")
+            raise ValueError(f"illegal value in argument {-info} of dpbtrs")
         ys = ys.reshape(horizon + 1, n)
         x_out = xs - ys
         x_out[:-1] += ys[1:] @ a

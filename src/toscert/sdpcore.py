@@ -33,16 +33,17 @@ step (x and z are factored afresh only after a centrality restart or a
 refused step); dtrtri inverts it, Z^-1 = L_z^-T L_z^-1, and the Newton
 system and the four step lengths share these. Eigenvalues are taken only
 for step lengths, the projected ray and the 1e-14 lift after a failed
-factor. The loop calls `scipy.linalg.lapack` alone, never numpy.linalg, so
-one LAPACK build decides every result.
+factor. The loop takes LAPACK from `toscert._lapack` alone (scipy's
+`_flapack`, the objects `scipy.linalg.lapack` exposes), never from
+numpy.linalg, so one LAPACK build decides every result.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
+from ._lapack import dpotrf, dpotrs, dtrtri
 from .lmikit import eigvalsh, max_eig, sym_check
 
 DEFAULT_FEAS_TOL = 1e-8

@@ -21,7 +21,8 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+
+from ._lapack import dpotrf, dpotrs
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,8 @@ class TosConfig:
         if not (isinstance(self.max_iter, numbers.Integral)
                 and self.max_iter >= 1):
             raise ValueError("max_iter must be an integer >= 1")
+        if not self.residual_tol >= 0:  # NaN fails it too
+            raise ValueError("residual_tol must be >= 0")
 
 
 def relax(z, x_b, x_a, lam):
@@ -187,6 +190,27 @@ class ZeroProx:
         return np.asarray(x, dtype=float).copy()
 
 
+def _cho_factor(m):
+    """Upper dpotrf factor of a finite square m, as scipy's cho_factor."""
+    c, info = dpotrf(np.asarray_chkfinite(m), clean=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    return c
+
+
+def _cho_solve(c, rhs):
+    """Solve with the upper factor c of _cho_factor, as scipy's cho_solve:
+    rhs must be finite, with as many rows as c."""
+    rhs = np.asarray_chkfinite(rhs)
+    if rhs.shape[:1] != c.shape[1:]:
+        raise ValueError(f"incompatible dimensions ({c.shape} and {rhs.shape})")
+    x, info = dpotrs(c, rhs)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
+
+
 class AffineSubspaceProx:
     """Projection onto {x : A x = b} via cached normal equations."""
 
@@ -195,16 +219,15 @@ class AffineSubspaceProx:
         b = np.atleast_1d(np.asarray(b, dtype=float))
         if a.shape[0] != b.size:
             raise ValueError("incompatible constraint shapes")
-        gram = a @ a.T
         try:
-            self._chol = cho_factor(gram)
+            self._chol = _cho_factor(a @ a.T)
         except np.linalg.LinAlgError as exc:
             raise ValueError("degenerate constraint rows") from exc
         self.a = a
         self.b = b
 
     def __call__(self, alpha, x):
-        return x - self.a.T @ cho_solve(self._chol, self.a @ x - self.b)
+        return x - self.a.T @ _cho_solve(self._chol, self.a @ x - self.b)
 
 
 class QuadraticProx:
@@ -221,9 +244,9 @@ class QuadraticProx:
     def __call__(self, alpha, x):
         key = float(alpha)
         if key not in self._cache:
-            self._cache[key] = cho_factor(
+            self._cache[key] = _cho_factor(
                 np.eye(self.p.shape[0]) + alpha * self.p)
-        return cho_solve(self._cache[key], x - alpha * self.q)
+        return _cho_solve(self._cache[key], x - alpha * self.q)
 
 
 def grad_eval(e, x):

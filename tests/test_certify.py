@@ -196,6 +196,17 @@ def test_objective_rate_validation():
         certify_objective_rate(1.0, math.inf, 1.0)
 
 
+def test_objective_mode_refuses_a_pinned_lambda(monkeypatch):
+    # the objective producer optimizes lambda; a pinned one is not dropped
+    statuses = _counted_solves(monkeypatch)
+    classes = _cls(0.0, 3.0, 0.0, math.inf, 0.0, 2.0)
+    with pytest.raises(ValueError, match="optimizes lambda"):
+        certify.certify_rate(MODE_OBJECTIVE, 0.5, classes, 0.5)
+    with pytest.raises(ValueError, match="optimizes lambda"):
+        sweep_alpha([0.5, 1.0], classes, MODE_OBJECTIVE, lam=1.5)
+    assert statuses == []
+
+
 # the objective program's closed forms: exact data in Fraction, written from
 # the definitions (Q(0, L) = [[0, 1/2], [1/2, -1/L]] on each selector, W1's
 # theta slope), and a rational grid of (alpha, Lf, Lh)

@@ -219,6 +219,16 @@ _LINEAR_NO_ALPHA = {k: v for k, v in LINEAR_DOC.items() if k != "alpha"}
     ("run", dict(RUN_DOC_2, f={"type": "quadratic", "matrix": [[1.0]]}), []),
     ("run", dict(RUN_DOC_2, f={"type": "quadratic", "linear": [1.0],
                                "matrix": [[1.0, 0.0], [0.0, 1.0]]}), []),
+    ("certify", dict(OBJECTIVE_DOC, alpha=0.5), ["--lambda", "0.5"]),
+    ("certify", dict(OBJECTIVE_DOC, alpha=0.5, **{"lambda": 0.5}), []),
+    ("sweep", OBJECTIVE_DOC, ["--grid", "0.5:1:2", "--lambda", "1.5"]),
+    ("sweep", dict(OBJECTIVE_DOC, grid=[0.5, 1.0], **{"lambda": 1.5}), []),
+    ("run", dict(RUN_DOC, residual_tol="nan"), []),
+    ("run", dict(RUN_DOC, residual_tol=-1e-6), []),
+    ("run", dict(RUN_DOC, f={"type": "quadratic", "matrix": [[-2.0]]}), []),
+    ("run", dict(RUN_DOC_2, f={"type": "affineSubspace",
+                               "a": [[1.0, 0.0], [1.0, 0.0]],
+                               "b": [0.0, 1.0]}), []),
 ], ids=["certify-no-alpha", "certify-array", "sweep-array", "run-array",
         "certify-alpha-x", "run-alpha-x", "certify-f-3", "certify-f-m-inf",
         "run-f-3", "run-no-lambda", "grid-bogus-scale", "grid-no-points",
@@ -227,7 +237,11 @@ _LINEAR_NO_ALPHA = {k: v for k, v in LINEAR_DOC.items() if k != "alpha"}
         "grid-negative-points", "document-grid-inf", "sweep-lambda-inf",
         "run-z0-nan", "run-z0-size", "run-max-iter-2.5", "run-box-radius",
         "run-l1-weight", "run-affine-columns", "run-quadratic-matrix",
-        "run-quadratic-linear"])
+        "run-quadratic-linear", "certify-objective-lambda-flag",
+        "certify-objective-document-lambda", "sweep-objective-lambda-flag",
+        "sweep-objective-document-lambda", "run-residual-tol-nan",
+        "run-residual-tol-negative", "run-quadratic-not-pd",
+        "run-affine-repeated-rows"])
 def test_malformed_input_exit_code(tmp_path, capsys, command, doc, opts):
     inp = _write(tmp_path / "in.json", doc)
     out = str(tmp_path / "out")
@@ -235,6 +249,16 @@ def test_malformed_input_exit_code(tmp_path, capsys, command, doc, opts):
     assert json.loads(capsys.readouterr().err)["error"] == "badInput"
     with open(out) as fh:
         assert json.load(fh)["error"] == "badInput"
+
+
+def test_affine_subspace_with_nan_is_malformed(tmp_path, capsys):
+    doc = dict(RUN_DOC, g={"type": "affineSubspace", "a": [[math.nan]],
+                           "b": [1.0]})
+    assert cli.main(["run", _write(tmp_path / "in.json", doc)]) == \
+        cli.EXIT_BAD_INPUT
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "badInput"
+    assert "must not contain infs or NaNs" in err["message"]
 
 
 def test_sweep_takes_the_document_lambda(tmp_path):

@@ -297,8 +297,9 @@ def _loop_outcomes(monkeypatch):
 
 
 def test_loop_calls_no_numpy_linalg(monkeypatch):
-    # the IPM loop factors, inverts and tests definiteness through
-    # scipy.linalg.lapack alone, so numpy's LAPACK build cannot enter it
+    # the IPM loop factors, inverts and tests definiteness with LAPACK from
+    # toscert._lapack alone (scipy's _flapack), so numpy's LAPACK build
+    # cannot enter it
     expected = _loop_outcomes(monkeypatch)
 
     def banned(*args, **kwargs):

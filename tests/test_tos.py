@@ -91,13 +91,15 @@ def test_find_fixed_point_scalar():
 
 
 def test_config_validation():
-    for alpha, lam, max_iter in [
-            (0.0, 0.5, 1000), (1.0, -1.0, 1000), (1.0, 0.5, 0),
-            (math.inf, 0.5, 1000), (math.nan, 0.5, 1000),
-            (1.0, math.inf, 1000), (1.0, 0.5, math.nan), (1.0, 0.5, 2.5),
-            (1.0, 0.5, 3.0)]:
+    for alpha, lam, max_iter, residual_tol in [
+            (0.0, 0.5, 1000, 0.0), (1.0, -1.0, 1000, 0.0), (1.0, 0.5, 0, 0.0),
+            (math.inf, 0.5, 1000, 0.0), (math.nan, 0.5, 1000, 0.0),
+            (1.0, math.inf, 1000, 0.0), (1.0, 0.5, math.nan, 0.0),
+            (1.0, 0.5, 2.5, 0.0), (1.0, 0.5, 3.0, 0.0),
+            (1.0, 0.5, 1000, math.nan), (1.0, 0.5, 1000, -1e-6)]:
         with pytest.raises(ValueError):
-            TosConfig(alpha=alpha, lam=lam, max_iter=max_iter)
+            TosConfig(alpha=alpha, lam=lam, max_iter=max_iter,
+                      residual_tol=residual_tol)
 
 
 def test_run_rejects_nonfinite_start():
@@ -151,7 +153,7 @@ def test_affine_subspace_projection():
 
 
 def test_affine_subspace_rejects_degenerate_rows():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degenerate constraint rows"):
         AffineSubspaceProx(np.array([[1.0, 0.0], [1.0, 0.0]]),
                            np.array([0.0, 1.0]))
 
