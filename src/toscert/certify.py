@@ -169,10 +169,11 @@ def _rate_program(sense, const, rate, alpha, classes, lam=None, basis=None):
     face by the program's structure. A sublinear program (every m = 0)
     passes its basis: M v = 0 fixes s = S (1, t[, lam]) by
     lmikit.face_sigma, S is folded into the coefficients, s >= 0 sits on
-    the diagonal and the LMI is kept on the basis. Otherwise the s_i >= 0
-    are variables, except s_i = inf for each Q_i whose class has m == L,
-    and the LMI is kept on _face. Returns the program and a map from its
-    solution to (t, lam, s).
+    the diagonal and the LMI is kept on the basis. Otherwise the s_i are
+    variables, except s_i = inf for each Q_i whose class has m == L, and
+    the LMI is kept on _face. Last on the diagonal, each in a row of its
+    own, come t >= 0 and each variable s_i >= 0. Returns the program and
+    a map from its solution to (t, lam, s).
     """
     qs = _qc_mats(alpha, classes)
     joint = lam is None
@@ -190,8 +191,10 @@ def _rate_program(sense, const, rate, alpha, classes, lam=None, basis=None):
         fold = np.zeros((0, n0))
         keep, u = _face(alpha, classes)
         coefs += [qs[i] for i in keep]
-    tail = np.zeros((len(coefs), 2 * joint + len(fold)))
-    tail[:n0, 2 * joint:] = -fold.T
+    signs = [1, *range(2 + joint, len(coefs))]
+    tail = np.zeros((len(coefs), 2 * joint + len(fold) + len(signs)))
+    tail[:n0, 2 * joint:-len(signs)] = -fold.T
+    tail[signs, range(-len(signs), 0)] = -1.0
     if joint:
         u = _bordered(u)
         u[4, -1] = 1.0
@@ -207,10 +210,7 @@ def _rate_program(sense, const, rate, alpha, classes, lam=None, basis=None):
         p[:k, :k] = b
     c = np.zeros(len(mats) - 1)
     c[0] = sense
-    nonneg = [True] * c.size
-    if joint:
-        nonneg[1] = False
-    prob = sdpcore.LinearSdp(c, mats[0], tuple(mats[1:]), tuple(nonneg))
+    prob = sdpcore.LinearSdp(c, mats[0], tuple(mats[1:]))
 
     def unpack(sol):
         t = float(sol.y[0])
@@ -440,7 +440,7 @@ def dual_linear_rate(alpha, lam, classes, feas_tol=sdpcore.DEFAULT_FEAS_TOL,
     f0 = emb(z0)
     fs = [emb(b) for b in basis]
     c = np.array([-np.trace(pr @ b) for b in basis])
-    prob = sdpcore.LinearSdp(c, f0, tuple(fs), (False,) * len(basis))
+    prob = sdpcore.LinearSdp(c, f0, tuple(fs))
     sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
     if sol.status == sdpcore.STATUS_INFEASIBLE:
         raise CertificationError("dual program infeasible")

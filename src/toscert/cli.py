@@ -175,7 +175,9 @@ def cmd_run(args):
         # a diverging run ends in the FloatingPointError, not in warnings
         with np.errstate(over="ignore", invalid="ignore"):
             trace = tos.run(args.oracle, args.z0, args.config)
-    except FloatingPointError as exc:  # e.g. lambda >= 2 on a stiff h
+    except (FloatingPointError, ValueError) as exc:
+        # e.g. lambda >= 2 on a stiff h. Each prox has run on z0, so a
+        # ValueError is a factored prox refusing an iterate no longer finite
         return _fail(EXIT_DIVERGED, "diverged", str(exc), args.out)
     trace.to_csv(args.out or "trace.csv")
     return EXIT_OK
@@ -186,10 +188,11 @@ def cmd_demo_lqr(args):
         lambdas = [float(v) for v in args.lambdas.split(",")]
         lqrdemo.check_sweep(lambdas, args.iters)
         inst = lqrdemo.build_instance(args.seed, args.n, args.m, args.horizon)
-    except ValueError as exc:
-        return _fail(EXIT_BAD_INPUT, "badInput", str(exc))  # --out is a dir
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+        out_dir = args.out or "."
+        os.makedirs(out_dir, exist_ok=True)
+    except (OSError, ValueError) as exc:  # OSError: e.g. --out is a file
+        # --out names a directory, or the file in its way: no error goes there
+        return _fail(EXIT_BAD_INPUT, "badInput", str(exc))
     results = lqrdemo.run_sweep(inst, lambdas, args.iters, out_dir=out_dir)
     best = min(results, key=lambda rec: rec["final_min_residual2"])
     print(f"best lambda {best['lambda']} final metric "

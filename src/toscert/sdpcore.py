@@ -1,31 +1,29 @@
 """A small dense SDP engine for the certificate programs.
 
 Solves  minimize c^T y  subject to  F0 + sum_i y_i F_i <= 0 (as a matrix
-inequality), optionally with y_i >= 0 on flagged variables. The engine is a
-primal-dual path-following interior point method on the conic reformulation
-(one dense semidefinite block plus a diagonal block for the sign
-constraints), with Mehrotra predictor-corrector steps and dense Cholesky
-Newton solves. All certificate programs have base dimension <= 7 and at
-most a handful of variables, so a bespoke dense method is plenty.
+inequality), with C = -F0 and A_i = F_i exactly as given. A sign
+constraint y_i >= 0 is a row of the LMI like any other: a -1 on a
+diagonal entry of F_i's own. The engine is a primal-dual path-following
+interior point method with Mehrotra predictor-corrector steps and dense
+Cholesky Newton solves. The certificate LMIs have at most 11 rows (at
+most 7 beside their diagonal sign and bound rows) and at most 9
+variables, so a bespoke dense method is plenty.
 
-Every program takes one run of the loop. An infeasible one is refused when
-the run's own primal iterate gives a Farkas ray for the LMI, a W >= 0 with
-F0 . W > feas_tol tr W beside which every F_i . W is small (F_i . W >= 0
-for flagged y_i); no second solve is made. "Small" is at most 1e-4 of
-F0 . W in the equilibrated units of the IPM, so every refusal proves that
-no y whose equilibrated image has 1-norm below 1e4 is feasible, whatever
-the scale of the data. Two tests look for the ray at each iteration:
-- the exact one projects x onto {X : A_i . X = 0} along span(A_i) and takes
-  the projection X_p when its smallest eigenvalue is >= 0. Its A_i . X_p
-  are zero up to rounding, so it rules out every y of 1-norm below
-  (-C . X_p) / max |A_i . X_p|, a bound that only rounding sets. It ends
-  most refusals about twice as early as the approximate test;
-- the approximate one takes x itself once every |A_i . x| is below the
-  1e-4 bar. It stays as the fallback: when x is nearly singular, the
-  correction sum u_i A_i can push X_p out of the cone, and then only
-  this test ends the run; without it such runs end numericalFailure.
-`feasibility_margin` stays as a public strict-feasibility oracle: it hands
-`solve_sdp` the program with one more variable t, so `_ipm` has one caller.
+Every program takes one run of the loop, and no second solve is made. An
+infeasible one is refused when the run's own primal iterate gives a
+Farkas ray for the LMI (Vandenberghe and Boyd, SIAM Rev. 1996): a W >= 0
+with F0 . W > feas_tol tr W beside which every F_i . W is small. Since
+the sign rows are rows of the LMI, W covers them with no rule of their
+own. The ray is x projected onto {X : A_i . X = 0} along span(A_i), taken
+when its smallest eigenvalue is >= 0. "Small" is at most 1e-4 of F0 . W
+in the equilibrated units of the IPM, and the projection's A_i . X_p are
+zero up to rounding, so a refusal rules out every y of equilibrated
+1-norm below (-C . X_p) / max |A_i . X_p| >= 1e4, whatever the scale of
+the data. When x is nearly singular the projection can leave the cone;
+the run then goes on. `solve_sdp`'s slack audits every row, sign rows
+included. `feasibility_margin` stays as a public strict-feasibility
+oracle: it hands `solve_sdp` the program with one more variable t, so
+`_ipm` has one caller.
 
 At that size an iteration costs library calls more than arithmetic. Each
 iterate keeps the lower Cholesky factor from the dpotrf that accepted its
@@ -58,20 +56,18 @@ STATUS_NUMERICAL_FAILURE = "numericalFailure"
 
 @dataclass(frozen=True)
 class LinearSdp:
-    """min objective . y  s.t.  f0 + sum y_i fi[i] <= 0, flagged y_i >= 0."""
+    """min objective . y  s.t.  f0 + sum y_i fi[i] <= 0."""
     objective: np.ndarray
     f0: np.ndarray
     fi: tuple
-    nonneg: tuple
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
         f0 = sym_check(self.f0)
         fi = tuple(sym_check(m) for m in self.fi)
-        nn = tuple(bool(v) for v in self.nonneg)
         if not np.isfinite(c).all():
             raise ValueError("objective must be finite")
-        if len(fi) != c.size or len(nn) != c.size:
+        if len(fi) != c.size:
             raise ValueError("inconsistent variable count")
         for m in fi:
             if m.shape != f0.shape:
@@ -79,11 +75,6 @@ class LinearSdp:
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "f0", f0)
         object.__setattr__(self, "fi", fi)
-        object.__setattr__(self, "nonneg", nn)
-
-    @property
-    def dim(self):
-        return self.f0.shape[0]
 
     @property
     def nvars(self):
@@ -143,7 +134,7 @@ def _steplen(li, dx):
     return 1e6 if lam >= -1e-14 else -1.0 / lam
 
 
-def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
+def _ipm(c, f0, fs, feas_tol, gap_tol, max_iter):
     """Core predictor-corrector loop; returns (y, iters, pres, dres, gap, tag).
 
     y and the residuals are those of the best iterate seen; iters is the
@@ -152,27 +143,16 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
     STATUS_NUMERICAL_FAILURE.
     """
     m = len(fs)
-    n0 = f0.shape[0]
-    flagged = [i for i in range(m) if nonneg[i]]
-    n = n0 + len(flagged)
-    cmat = np.zeros((n, n))
-    cmat[:n0, :n0] = -f0
-    amats = []
-    for i in range(m):
-        a = np.zeros((n, n))
-        a[:n0, :n0] = fs[i]
-        if nonneg[i]:
-            j = n0 + flagged.index(i)
-            a[j, j] = -1.0
-        amats.append(a)
+    n = f0.shape[0]
     b = -np.asarray(c, float)
 
-    # diagonal equilibration followed by per-variable and objective scaling
-    t = np.abs(cmat) + sum(np.abs(a) for a in amats)
+    # diagonal equilibration of C = -F0 and A_i = F_i, followed by
+    # per-variable and objective scaling
+    t = np.abs(f0) + sum(np.abs(a) for a in fs)
     deq = 1.0 / np.sqrt(np.maximum(np.sqrt((t ** 2).sum(axis=1)), 1e-10))
     dmat = np.diag(deq)
-    cmat = dmat @ cmat @ dmat
-    amats = [dmat @ a @ dmat for a in amats]
+    cmat = dmat @ -f0 @ dmat
+    amats = [dmat @ a @ dmat for a in fs]
     s = np.array([max(_norm(a), 1e-30) for a in amats])
     amats = [a / si for a, si in zip(amats, s)]
     b = b / s
@@ -189,14 +169,7 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
     pav = dpotrs(_chol(avec @ avec.T + 1e-13 * np.eye(m)), avec, lower=1)[0]
     pdiag = pav[:, ::n + 1]
     pc = pav @ cmat.ravel()
-    deq2 = deq[:n0] ** 2
-
-    def is_ray(xm, axm, cx):
-        # xm >= 0 is a Farkas ray when W = D xm D, D = diag(deq), has
-        # F0 . W above feas_tol tr W while every scaled A_i . xm is ~0 beside
-        # -C . xm: no scaled y with |y|_1 < 1e4 is then feasible
-        return (-cscale * cx > feas_tol * (deq2 @ xm.diagonal()[:n0])
-                and np.abs(axm).max() <= 1e-4 * -cx)
+    deq2 = deq ** 2
 
     eye = np.eye(n)
     eye_m = np.eye(m)
@@ -228,16 +201,18 @@ def _ipm(c, f0, fs, nonneg, feas_tol, gap_tol, max_iter):
         if pres < feas_tol and dres < feas_tol and gap < gap_tol:
             tag = "converged"
             break
-        if is_ray(x, ax, pobj):
-            tag = STATUS_INFEASIBLE
-            break
-        # the exact ray: X_p with A X_p = 0 up to rounding; its diagonal and
-        # C . X_p screen it before it is formed and its eigenvalues taken
+        # the ray: X_p = x - sum u_i A_i, with A X_p = 0 up to rounding. It
+        # proves infeasibility when W = D X_p D >= 0, D = diag(deq), has
+        # F0 . W above feas_tol tr W and every scaled A_i . X_p is ~0 beside
+        # -C . X_p. Its diagonal and C . X_p screen it before it is formed
+        # and its eigenvalues taken
         dp = x.diagonal() - ax @ pdiag
         if (dp.min() >= 0
-                and -cscale * (pobj - ax @ pc) > feas_tol * (deq2 @ dp[:n0])):
+                and -cscale * (pobj - ax @ pc) > feas_tol * (deq2 @ dp)):
             xp = x - (ax @ pav).reshape(n, n)
-            if (is_ray(xp, avec @ xp.ravel(), np.vdot(cmat, xp))
+            cxp = np.vdot(cmat, xp)
+            if (-cscale * cxp > feas_tol * (deq2 @ xp.diagonal())
+                    and np.abs(avec @ xp.ravel()).max() <= 1e-4 * -cxp
                     and eigvalsh(xp)[0] >= 0):
                 tag = STATUS_INFEASIBLE
                 break
@@ -315,12 +290,12 @@ def solve_sdp(problem, feas_tol=DEFAULT_FEAS_TOL, gap_tol=DEFAULT_GAP_TOL,
     """Solve a LinearSdp; the reported slack is an independent eigenvalue audit.
 
     One IPM run decides the status: `optimal` when it converges and the
-    audit passes, `infeasible` when its primal iterate, projected exactly
-    onto the null space of the constraints or taken as it is, is a Farkas
-    ray for the LMI, `numericalFailure` when its Newton system breaks down,
-    and `maxIterations` otherwise. Every ray rules out each y of
-    equilibrated 1-norm below 1e4, and a projected one each y up to a
-    1-norm that only rounding bounds (see the module docstring).
+    audit passes, `infeasible` when its primal iterate, projected onto the
+    null space of the constraints, is a Farkas ray for the LMI,
+    `numericalFailure` when its Newton system breaks down, and
+    `maxIterations` otherwise. A ray rules out each y of equilibrated
+    1-norm up to a bound that only rounding sets, and at least 1e4 (see
+    the module docstring).
     """
     check_options(feas_tol, gap_tol, max_iter)
     if problem.nvars == 0:
@@ -328,8 +303,8 @@ def solve_sdp(problem, feas_tol=DEFAULT_FEAS_TOL, gap_tol=DEFAULT_GAP_TOL,
         status = STATUS_OPTIMAL if slack <= feas_tol else STATUS_INFEASIBLE
         return SdpSolution(status, np.zeros(0), 0.0, slack, 0)
     y, iters, pres, dres, gap, tag = _ipm(
-        problem.objective, problem.f0, problem.fi, problem.nonneg,
-        feas_tol, gap_tol, max_iter)
+        problem.objective, problem.f0, problem.fi, feas_tol, gap_tol,
+        max_iter)
     slack = _audit_slack(problem.f0, problem.fi, y)
     obj = float(problem.objective @ y)
     if tag == "converged" and slack <= feas_tol:
@@ -348,7 +323,7 @@ def _audit_slack(f0, fi, y):
     return max_eig(m)
 
 
-def feasibility_margin(f0, fi, nonneg, feas_tol=DEFAULT_FEAS_TOL,
+def feasibility_margin(f0, fi, feas_tol=DEFAULT_FEAS_TOL,
                        gap_tol=DEFAULT_GAP_TOL, max_iter=DEFAULT_MAX_ITER):
     """Largest t with f0 + sum y_i fi[i] + t I <= 0; strict feasibility oracle.
 
@@ -358,8 +333,7 @@ def feasibility_margin(f0, fi, nonneg, feas_tol=DEFAULT_FEAS_TOL,
     n = np.shape(f0)[0]
     c = np.zeros(len(fi) + 1)
     c[-1] = -1.0
-    sol = solve_sdp(LinearSdp(c, f0, tuple(fi) + (np.eye(n),),
-                              tuple(nonneg) + (False,)),
+    sol = solve_sdp(LinearSdp(c, f0, tuple(fi) + (np.eye(n),)),
                     feas_tol, gap_tol, max_iter)
     return float(sol.y[-1]), sol.y[:-1]
 
@@ -367,15 +341,14 @@ def feasibility_margin(f0, fi, nonneg, feas_tol=DEFAULT_FEAS_TOL,
 def analytic_instances():
     """Three closed-form test programs with optimal values 1, 2, 2."""
     inst1 = LinearSdp(np.array([1.0]), np.array([[1.0]]),
-                      (np.array([[-1.0]]),), (False,))
+                      (np.array([[-1.0]]),))
     inst2 = LinearSdp(np.array([-1.0]), np.array([[-2.0]]),
-                      (np.array([[1.0]]),), (False,))
+                      (np.array([[1.0]]),))
+    # y >= 0 as the diagonal rows 2 and 3
     inst3 = LinearSdp(
         np.array([1.0, 1.0]),
-        np.array([[0.0, 1.0], [1.0, 0.0]]),
-        (np.array([[-1.0, 0.0], [0.0, 0.0]]),
-         np.array([[0.0, 0.0], [0.0, -1.0]])),
-        (True, True))
+        np.pad(np.array([[0.0, 1.0], [1.0, 0.0]]), (0, 2)),
+        (np.diag([-1.0, 0.0, -1.0, 0.0]), np.diag([0.0, -1.0, 0.0, -1.0])))
     return [
         (inst1, 1.0),   # optimal y = 1
         (inst2, 2.0),   # optimal y = 2, objective -2

@@ -294,15 +294,16 @@ def test_objective_program_matches_the_closed_forms():
                              _slope_minors(a, lf, lh)):
             assert abs(got - want) <= F(1e-12) * want
         # theta's border row and lam rows are zero, its sigma rows 1/alpha^2
+        # and its sign row -1
         assert np.allclose(f_theta[3:, 3:],
-                           np.diag([0, 0, 0] + [1 / x[0] ** 2] * 3),
+                           np.diag([0, 0, 0] + [1 / x[0] ** 2] * 3 + [-1]),
                            rtol=1e-12, atol=0)
         assert not f_theta[3, :3].any()
         assert np.array_equal(f_lam[:3, 3], [1.0, 2.0, 1.0])
-        assert np.allclose(np.diag(f_lam)[4:], [-1, 1] + [-2 / x[0]] * 3,
+        assert np.allclose(np.diag(f_lam)[4:], [-1, 1] + [-2 / x[0]] * 3 + [0],
                            rtol=1e-12, atol=0)
         assert np.array_equal(prob.f0, np.diag(
-            [0, 0, 0, -1, certify.LAM_MIN, -certify.LAM_MAX, 0, 0, 0]))
+            [0, 0, 0, -1, certify.LAM_MIN, -certify.LAM_MAX, 0, 0, 0, 0]))
         for lam in (F(certify.LAM_MIN), F(1, 2), F(2)):
             got = _leading_minors(-(f_lam[:3, :3] + lam * (FACE_E @ FACE_E.T)))
             scale = 32 * (4 + a * lh + 2 * lam) / (lf * lh * a ** 2)
@@ -703,11 +704,13 @@ def _paper_program(shape, y, lmi):
     """The LMI of one program shape at y, from the paper's matrices.
 
     lmi is the program's own matrix at y; the face programs carry their
-    multipliers on the diagonal, and they are read from there.
+    multipliers on the diagonal, and they are read from there. Last on the
+    diagonal come the sign rows of the rate and of each multiplier that is
+    a variable.
     """
     if shape.startswith("residual"):
         alpha, lam = (1.5, 0.5) if shape == "residual-pinned" else (1.0, y[1])
-        sigma = -np.diag(lmi)[-3:]
+        sigma = -np.diag(lmi)[-4:-1]
         m = build_w0(lam, y[0], alpha) + _qc_sum(
             alpha, certify._case1_classes(1.0), sigma)
         # the face: equal deviations v and w = (0, -1, 0, 1) are null
@@ -717,25 +720,30 @@ def _paper_program(shape, y, lmi):
         for d in (np.ones(4), np.array([0.0, -1.0, 0.0, 1.0])):
             assert np.abs(m @ d).max() <= 1e-12 * np.abs(m).max()
             assert not (basis.T @ d).any()
+        signs = np.diag(-np.append(sigma, y[0]))
         if shape == "residual-pinned":
-            return block_diag(basis.T @ m @ basis, np.diag(-sigma))
-        return block_diag(_schur_on(m, lam, basis), np.diag(-sigma))
+            return block_diag(basis.T @ m @ basis, signs)
+        return block_diag(_schur_on(m, lam, basis), signs)
     if shape == "objective-face":
         classes = _cls(0.0, 2.0, 0.0, math.inf, 0.0, 3.0)
-        sigma = -np.diag(lmi)[6:]
+        sigma = -np.diag(lmi)[6:9]
         m = build_w1(y[1], y[0], 0.7, 2.0, 3.0) + _qc_sum(0.7, classes, sigma)
         # the face: equal deviations of every variable are a null direction
         assert np.abs(m @ np.ones(4)).max() <= 1e-12 * np.abs(m).max()
         basis = lmikit.FACE_BASIS
         assert np.linalg.matrix_rank(basis) == 3
         assert not (basis.T @ np.ones(4)).any()
-        return block_diag(_schur_on(m, y[1], basis), np.diag(-sigma))
+        return block_diag(_schur_on(m, y[1], basis),
+                          np.diag(-np.append(sigma, y[0])))
     keep, u = certify._face(0.02, STRONG_F_EQUAL)
     if shape == "linear-pinned":
-        return u.T @ (build_w2(LINEAR_LAM, y[0])
-                      + _qc_sum(0.02, STRONG_F_EQUAL, y[1:], keep)) @ u
-    return _schur_on(build_w2(y[1], y[0])
-                     + _qc_sum(0.02, STRONG_F_EQUAL, y[2:], keep), y[1], u)
+        return block_diag(u.T @ (build_w2(LINEAR_LAM, y[0])
+                                 + _qc_sum(0.02, STRONG_F_EQUAL, y[1:], keep))
+                          @ u, np.diag(-y))
+    return block_diag(
+        _schur_on(build_w2(y[1], y[0])
+                  + _qc_sum(0.02, STRONG_F_EQUAL, y[2:], keep), y[1], u),
+        np.diag(-np.append(y[0], y[2:])))
 
 
 _PRODUCERS = {
@@ -771,7 +779,7 @@ def test_program_matches_paper_lmi(shape, monkeypatch):
     for _ in range(20):
         y = rng.uniform(0.0, 3.0, prob.nvars)
         y[0] = rng.uniform(0.01, 1.0)
-        if not all(prob.nonneg):
+        if not shape.endswith("pinned"):
             y[1] = rng.uniform(0.05, 2.0)
         points.append(y)
     verdicts = []

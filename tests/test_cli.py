@@ -335,6 +335,20 @@ def test_run_reports_divergence(tmp_path, capsys):
         assert json.load(fh)["error"] == "diverged"
 
 
+def test_run_reports_divergence_in_a_factored_prox(tmp_path, capsys):
+    # at lambda = 1.9 the stiff h drives z past the floats, and the
+    # quadratic prox refuses the non-finite y before tos_step checks z'
+    doc = {"f": {"type": "quadratic", "matrix": [[1.0]]},
+           "g": {"type": "zero"}, "h": {"matrix": [[100.0]]}, "z0": [1.0],
+           "alpha": 1.0, "lambda": 1.9}
+    inp = _write(tmp_path / "run.json", doc)
+    out = str(tmp_path / "trace.csv")
+    assert cli.main(["run", inp, "--out", out]) == cli.EXIT_DIVERGED
+    assert json.loads(capsys.readouterr().err)["error"] == "diverged"
+    with open(out) as fh:
+        assert json.load(fh)["error"] == "diverged"
+
+
 def test_run_unknown_prox_type(tmp_path):
     doc = {"f": {"type": "bogus"}, "g": {"type": "zero"},
            "h": {"matrix": [[1.0]]}, "z0": [1.0],
@@ -353,14 +367,20 @@ def test_demo_lqr_outputs(tmp_path, capsys):
 
 
 def test_demo_lqr_bad_input_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
     for opts in (["--lambdas", "2.5"], ["--lambdas", "x"], ["--n", "0"],
-                 ["--iters", "0"], ["--lambdas", "0.1234567,0.1234568"]):
+                 ["--iters", "0"], ["--lambdas", "0.1234567,0.1234568"],
+                 ["--out", str(taken)]):  # --out names an existing file
         capsys.readouterr()
-        code = cli.main(["demo-lqr", "--out", str(tmp_path), *opts])
+        code = cli.main(["demo-lqr", "--out", str(out), *opts])
         assert code == cli.EXIT_BAD_INPUT, opts
         assert json.loads(capsys.readouterr().err)["error"] == "badInput"
     # --out names the output directory: the error is not written there
-    assert not any(tmp_path.iterdir())
+    assert not any(out.iterdir())
+    assert taken.read_text() == "kept"
 
 
 def test_deterministic_certificate_bytes(tmp_path):

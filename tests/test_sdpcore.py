@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from toscert import certify, sdpcore
@@ -27,25 +28,25 @@ def test_analytic_instances():
 
 def test_linear_sdp_validation():
     with pytest.raises(ValueError):
-        LinearSdp(np.array([1.0]), np.eye(2), (), ())
+        LinearSdp(np.array([1.0]), np.eye(2), ())
     with pytest.raises(ValueError):
-        LinearSdp(np.array([1.0]), np.eye(2), (np.eye(3),), (False,))
+        LinearSdp(np.array([1.0]), np.eye(2), (np.eye(3),))
     with pytest.raises(ValueError):
-        LinearSdp(np.array([math.nan]), np.eye(2), (np.eye(2),), (False,))
+        LinearSdp(np.array([math.nan]), np.eye(2), (np.eye(2),))
 
 
 def test_zero_variable_program():
-    prob = LinearSdp(np.zeros(0), -np.eye(2), (), ())
+    prob = LinearSdp(np.zeros(0), -np.eye(2), ())
     sol = solve_sdp(prob)
     assert sol.status == STATUS_OPTIMAL
-    bad = LinearSdp(np.zeros(0), np.eye(2), (), ())
+    bad = LinearSdp(np.zeros(0), np.eye(2), ())
     assert solve_sdp(bad).status == STATUS_INFEASIBLE
 
 
 def test_feasibility_margin_examples():
-    t, _ = feasibility_margin(np.array([[-1.0]]), [], [])
+    t, _ = feasibility_margin(np.array([[-1.0]]), [])
     assert abs(t - 1.0) < 1e-7
-    t, _ = feasibility_margin(np.array([[1.0]]), [], [])
+    t, _ = feasibility_margin(np.array([[1.0]]), [])
     assert abs(t + 1.0) < 1e-7
 
 
@@ -53,15 +54,15 @@ def test_feasibility_margin_examples():
 def test_feasibility_margin_of_large_data(a):
     # the margin program is always feasible, so its run must not end on a
     # Farkas ray however large the data: t* = -a certifies infeasibility
-    t, _ = feasibility_margin(np.array([[a]]), [], [])
+    t, _ = feasibility_margin(np.array([[a]]), [])
     assert abs(t + a) <= 1e-7 * a
 
 
 def test_infeasible_detection():
-    # y >= 0 cannot make diag(1, -y) NSD in its first entry
+    # y >= 0 (the last row) cannot make diag(1, -y) NSD in its first entry
     prob = LinearSdp(np.array([1.0]),
-                     np.diag([1.0, 0.0]),
-                     (np.diag([0.0, -1.0]),), (True,))
+                     np.diag([1.0, 0.0, 0.0]),
+                     (np.diag([0.0, -1.0, -1.0]),))
     sol = solve_sdp(prob)
     assert sol.status == STATUS_INFEASIBLE
 
@@ -91,14 +92,18 @@ def test_certificate_margin_tracks_theta():
     alpha = (2.0 - lam) / Lh
     cls = RegularityClass(0.0, math.inf)
     h = RegularityClass(0.0, Lh)
-    qs = [q for q in build_qc_triplet(alpha, cls, cls, h)]
+    # each sigma_i >= 0 is a diagonal row of its own, and t covers them too
+    qs = [block_diag(q, -np.diag(e))
+          for q, e in zip(build_qc_triplet(alpha, cls, cls, h), np.eye(3))]
     theta_star = (2.0 - lam) ** 3 * lam / (2.0 * Lh ** 2)
-    t_ok, y = feasibility_margin(build_w0(lam, 0.9 * theta_star, alpha),
-                                 qs, [True] * 3)
+    t_ok, y = feasibility_margin(
+        block_diag(build_w0(lam, 0.9 * theta_star, alpha), np.zeros((3, 3))),
+        qs)
     assert abs(t_ok) <= 1e-7
     assert all(v >= -1e-9 for v in y)
-    t_bad, _ = feasibility_margin(build_w0(lam, 1.5 * theta_star, alpha),
-                                  qs, [True] * 3)
+    t_bad, _ = feasibility_margin(
+        block_diag(build_w0(lam, 1.5 * theta_star, alpha), np.zeros((3, 3))),
+        qs)
     assert t_bad < -0.01
 
 
@@ -106,10 +111,11 @@ def test_scaling_invariance():
     # multiplying all data by a large constant must not change the argmin
     rng = np.random.default_rng(3)
     a = rng.standard_normal((3, 3))
-    f0 = -(a @ a.T) - np.eye(3)
-    f1 = np.diag([1.0, 0.5, 0.25])
-    prob1 = LinearSdp(np.array([-1.0]), f0, (f1,), (True,))
-    prob2 = LinearSdp(np.array([-1e6]), 1e6 * f0, (1e6 * f1,), (True,))
+    # y >= 0 is the last row
+    f0 = block_diag(-(a @ a.T) - np.eye(3), 0.0)
+    f1 = np.diag([1.0, 0.5, 0.25, -1.0])
+    prob1 = LinearSdp(np.array([-1.0]), f0, (f1,))
+    prob2 = LinearSdp(np.array([-1e6]), 1e6 * f0, (1e6 * f1,))
     y1 = solve_sdp(prob1).y[0]
     y2 = solve_sdp(prob2).y[0]
     assert abs(y1 - y2) < 1e-6 * max(1.0, abs(y1))
@@ -122,7 +128,7 @@ def test_optimal_status_implies_small_slack():
         f0 = -(a @ a.T) - 0.5 * np.eye(4)
         b = rng.standard_normal((4, 4))
         f1 = 0.5 * (b + b.T)
-        prob = LinearSdp(np.array([-1.0]), f0, (f1,), (False,))
+        prob = LinearSdp(np.array([-1.0]), f0, (f1,))
         sol = solve_sdp(prob)
         if sol.status == STATUS_OPTIMAL:
             assert sol.slack <= 1e-8
@@ -130,13 +136,13 @@ def test_optimal_status_implies_small_slack():
 
 
 def test_monotone_in_added_slack_variable():
-    # a flagged variable on a zero matrix must stay near zero and not
-    # disturb the optimum
+    # a variable y_2 >= 0 whose only row is its sign row must stay near
+    # zero and not disturb the optimum
     f0 = np.array([[1.0]])
     f1 = np.array([[-1.0]])
-    base = LinearSdp(np.array([1.0]), f0, (f1,), (False,))
-    padded = LinearSdp(np.array([1.0, 0.0]), f0, (f1, np.zeros((1, 1))),
-                       (False, True))
+    base = LinearSdp(np.array([1.0]), f0, (f1,))
+    padded = LinearSdp(np.array([1.0, 0.0]), np.diag([1.0, 0.0]),
+                       (np.diag([-1.0, 0.0]), np.diag([0.0, -1.0])))
     v1 = solve_sdp(base).objective
     v2 = solve_sdp(padded).objective
     assert abs(v1 - v2) < 1e-7
@@ -151,9 +157,9 @@ def test_tolerance_validation():
     with pytest.raises(ValueError):
         solve_sdp(prob, max_iter=0)
     with pytest.raises(ValueError):
-        feasibility_margin(np.array([[1.0]]), [], [], max_iter=0)
+        feasibility_margin(np.array([[1.0]]), [], max_iter=0)
     with pytest.raises(ValueError):
-        feasibility_margin(np.array([[1.0]]), [], [], feas_tol=5.0)
+        feasibility_margin(np.array([[1.0]]), [], feas_tol=5.0)
 
 
 def test_iterations_counts_the_iterations_run():
@@ -252,18 +258,17 @@ def test_iterations_are_steplen_calls_over_four(monkeypatch):
 @pytest.mark.parametrize("point, most", [((5.0, 3.0, 3.0), 12),
                                          ((4.2658, 30.0, 30.0), 14)])
 def test_refusal_ends_on_a_projected_ray(point, most):
-    # the iterate projected onto {X : A_i . X = 0} is a ray 12 iterations
-    # before the 1e-4 test alone ends the run (at 23 and 25)
+    # the iterate projected onto {X : A_i . X = 0} is a ray early in the run,
+    # at iterations 11 and 14
     sol = _objective_solve(*point)
     assert sol.status == STATUS_INFEASIBLE
     assert sol.iterations <= most
 
 
 def test_refusal_falls_back_to_the_approximate_ray():
-    # the 1e-4 test ends this run on a nearly singular x whose projection
-    # leaves the cone; without the fallback it ends numericalFailure. It
-    # also ends the run at test_refusal_is_one_solve's (4.2658, 3, 3), on
-    # the first iterate whose projection is an exact ray too
+    # the 1e-4 test of the iterate itself ended this run while the engine
+    # kept it as a fallback; the projected ray, now the only test, ends it
+    # as early, at the first iterate whose projection passes the screen
     assert _objective_solve(5.0, 10.0, 1.0).status == STATUS_INFEASIBLE
 
 
@@ -463,7 +468,7 @@ def test_loop_takes_eigenvalues_only_for_steps_rays_and_lifts(monkeypatch):
 
 @pytest.mark.parametrize("alpha, lf, lh, iters", [
     ("0x1.a42cc1e6ab476p+0", 10.0, 3.0, 20),    # seeded_grid(..., 1)[22]
-    ("0x1.d327f4fdc82ebp-2", 30.0, 10.0, 17)])  # seeded_grid(..., 2)[14]
+    ("0x1.d327f4fdc82ebp-2", 30.0, 10.0, 23)])  # seeded_grid(..., 2)[14]
 def test_nearly_feasible_refusals_end_infeasible(alpha, lf, lh, iters):
     # two objective-surface points whose runs ended numericalFailure while
     # the loop refactored each step; they meet the scaled tolerances but

@@ -18,7 +18,9 @@ joint, 0.5, 1.0 and 1.5 over the surface's stepsizes), `linear-near-equal`
 e's stepsizes, so that a multiplier sigma_f = inf that appears or vanishes
 shows in the diff) and `sdpcore-cases`:
 `sdpcore.analytic_instances()` and the `feasibility_margin` programs of
-the tests, whose data runs up to 1e6. For each solve it writes the
+the tests: scalar ones whose data runs up to 1e6, and the residual-rate
+LMI with each multiplier's sign as a diagonal row of its own, its margin
+taken over the whole block. For each solve it writes the
 status, the bytes of y, the iteration count, the audit slack, the
 objective and the residuals pres, dres and gap. For each operation it
 writes the rates issued (None for a refusal); an `sdpcore-cases`
@@ -29,7 +31,9 @@ residual_norm2 and objective and of its CSV file.
 
 `diff` matches solves by section, operation and order within the
 operation, and prints, per section and in total: how many are identical,
-how many differ only in their bits (same status), each status
+how many differ only in their bits (same status) and, among those, how
+many differ in each recorded field (so y or an iteration count that
+moved shows apart from a slack or a residual), each status
 transition, the total iterations, the undecided solves (`maxIterations`
 and `numericalFailure`) of each side, the certificates issued and the
 largest change in an issued rate, absolute and relative to the first
@@ -40,7 +44,9 @@ traces apart, naming the fields that differ. It exits 1 when any solve
 or trace differs or has no counterpart.
 
 To compare two commits, copy this file into a checkout of each and run
-`dump` there.
+`dump` there. A tree whose `LinearSdp` still takes sign flags dumps with
+its own copy: its `feasibility_margin` takes the flags as a third
+argument.
 """
 
 import json
@@ -61,6 +67,8 @@ NEAR_EQUAL_DELTAS = (1e-9, 1e-6, 1e-4)
 UNDECIDED = ("maxIterations", "numericalFailure")
 LQR_SECTION = "lqr-demo"
 LQR_FIELDS = ("x_b", "x_a", "z", "residual_norm2", "objective")
+SOLVE_FIELDS = ("y", "iterations", "slack", "objective", "pres", "dres",
+                "gap")
 
 
 def _sections():
@@ -149,23 +157,26 @@ def _near_equal_operations():
 def _sdpcore_cases():
     """The analytic instances' objectives and the margins of the tests."""
     import numpy as np
+    from scipy.linalg import block_diag
     from toscert import lmikit, sdpcore
 
     for prob, _ in sdpcore.analytic_instances():
         yield lambda prob=prob: sdpcore.solve_sdp(prob).objective
     for a in (-1.0, 1.0, 2e4, 1e6):
-        yield lambda a=a: sdpcore.feasibility_margin(np.array([[a]]), [],
-                                                     [])[0]
-    # test_certificate_margin_tracks_theta's programs, theta* times 0.9, 1.5
+        yield lambda a=a: sdpcore.feasibility_margin(np.array([[a]]), [])[0]
+    # test_certificate_margin_tracks_theta's programs, theta* times 0.9, 1.5,
+    # each sigma_i >= 0 a diagonal row of its own
     lam, lh = 0.5, 1.0
     alpha = (2.0 - lam) / lh
     cls = lmikit.RegularityClass(0.0, math.inf)
-    qs = list(lmikit.build_qc_triplet(alpha, cls, cls,
-                                      lmikit.RegularityClass(0.0, lh)))
+    qs = [block_diag(q, -np.diag(e)) for q, e in zip(
+        lmikit.build_qc_triplet(alpha, cls, cls,
+                                lmikit.RegularityClass(0.0, lh)), np.eye(3))]
     theta_star = (2.0 - lam) ** 3 * lam / (2.0 * lh ** 2)
     for f in (0.9, 1.5):
-        w0 = lmikit.build_w0(lam, f * theta_star, alpha)
-        yield lambda w0=w0: sdpcore.feasibility_margin(w0, qs, [True] * 3)[0]
+        w0 = block_diag(lmikit.build_w0(lam, f * theta_star, alpha),
+                        np.zeros((3, 3)))
+        yield lambda w0=w0: sdpcore.feasibility_margin(w0, qs)[0]
 
 
 def _lqr_traces():
@@ -249,6 +260,8 @@ def _compare(rows_a, rows_b, total):
                 count["same"] += 1
             elif sa["status"] == sb["status"]:
                 count["bits"] += 1
+                for key in SOLVE_FIELDS:
+                    count["bits_" + key] += sa[key] != sb[key]
             else:
                 moves.append((op, k, sa, sb))
         for side, row in zip("ab", (ra, rb)):
@@ -282,6 +295,9 @@ def _report(name, c):
           f"{c['undecided_b']}; issued {c['issued_a']} -> {c['issued_b']}; "
           f"largest rate change {c['worst']:.3g} "
           f"({c['worst_rel']:.3g} relative)")
+    if c["bits"]:
+        print("    of these, differing in " + ", ".join(
+            f"{key} {c['bits_' + key]}" for key in SOLVE_FIELDS))
     if c["dropped"]:
         print(f"    {c['dropped']} solves missing at operations that refuse "
               f"on both sides")
