@@ -1,14 +1,13 @@
 """Certificate producers for the three convergence regimes.
 
-Sublinear residual rate (feasibility of W0 + sum sigma_i Q_i <= 0, theta
-maximized), sublinear objective rate (the Schur-extended W1 program), linear
-rate (the Schur-extended W2 program) and its dual cross-check, stepsize
-sweeps, and empirical Lyapunov validation of certificates on solver traces.
+Sublinear residual and objective rates in closed form, with no solve; the
+linear rate (the Schur-extended W2 program, solved by sdpcore) and its dual
+cross-check; stepsize sweeps, and empirical Lyapunov validation on traces.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,11 +15,11 @@ import numpy as np
 from . import sdpcore
 from ._lapack import null_space
 # build_w2 and schur_extend are unused here; the traced benchmark patches them
-from .lmikit import (FACE_BASIS, RATE_E, RELAX_LIN, RESIDUAL_BASIS,
-                     RegularityClass, build_dual_data, build_qc_triplet,
-                     build_w0, build_w1, build_w2, eta_vector, face_sigma,
-                     max_eig, nsd_directions, relaxation, schur_extend,
-                     w0_rate, w1_slope)
+from .lmikit import (RATE_E, RELAX_LIN, RegularityClass, build_dual_data,
+                     build_qc_triplet, build_w0, build_w1, build_w2,
+                     eta_vector, max_eig, nsd_directions, objective_cubic,
+                     objective_quintic, relaxation, residual_rate,
+                     schur_extend)
 
 LAM_MIN = 1e-6
 LAM_MAX = 4.0
@@ -30,6 +29,8 @@ MODE_OBJECTIVE = "sublinearObjective"
 MODE_LINEAR = "linear"
 
 SENTINEL_RATE = {MODE_RESIDUAL: 0.0, MODE_OBJECTIVE: 0.0, MODE_LINEAR: 1.0}
+
+CLOSED_FORM = "closedForm"  # the sublinear certificates' provenance
 
 
 class CertificationError(Exception):
@@ -120,35 +121,17 @@ def _face(alpha, classes, g=None):
 
 
 def symbolic_sublinear(lam, Lh):
-    """Closed-form residual-rate certificate for one Lipschitz operator."""
-    if not (0 < lam < 2):
-        raise CertificationError("lam must lie in (0, 2)")
-    if not (math.isfinite(Lh) and Lh > 0):
+    """The residual rate on alpha = (2 - lam) / Lh: (2 - lam)^3 lam / 2Lh^2."""
+    if not 0 < Lh < math.inf:
         raise CertificationError("Lh must be finite and positive")
-    alpha = (2.0 - lam) / Lh
-    theta = (2.0 - lam) ** 3 * lam / (2.0 * Lh ** 2)
-    sig = 2.0 * lam / alpha
-    margin = audit(build_w0(lam, theta, alpha), (sig, sig, sig), alpha,
-                   _case1_classes(Lh))
-    return RateCertificate(
-        mode=MODE_RESIDUAL, alpha=alpha, lam=lam, sigma=(sig, sig, sig),
-        margin=margin, provenance="symbolic", theta=theta)
+    cert = certify_residual_rate((2.0 - lam) / Lh, lam, _case1_classes(Lh))
+    return replace(cert, provenance="symbolic")
 
 
-def _case1_classes(Lh):
-    return ProblemClasses(RegularityClass(0.0, math.inf),
+def _case1_classes(Lh, Lf=math.inf):
+    return ProblemClasses(RegularityClass(0.0, Lf),
                           RegularityClass(0.0, math.inf),
                           RegularityClass(0.0, Lh))
-
-
-def _require_case1(classes):
-    c = classes
-    ok = (c.f.m == 0 and c.g.m == 0 and c.h.m == 0
-          and math.isinf(c.f.L) and math.isinf(c.g.L) and c.h.L < math.inf)
-    if not ok:
-        raise CertificationError(
-            "residual-rate certification needs m = 0 throughout, "
-            "nonsmooth f and g, and Lipschitz h")
 
 
 def _bordered(a):
@@ -158,22 +141,18 @@ def _bordered(a):
     return out
 
 
-def _rate_program(sense, const, rate, alpha, classes, lam=None, basis=None):
+def _rate_program(sense, const, rate, alpha, classes, lam=None):
     """const + t rate + R(lam) + sum s_i Q_i <= 0 as a LinearSdp on its face.
 
     t >= 0 is the rate, minimized for sense = 1 and maximized for sense = -1;
     R(lam) = lmikit.relaxation(lam). A pinned lam puts R(lam) in the
     constant. With lam=None, lam is the variable after t: its square enters
     through the Schur border eta(lam) with corner -1, and
-    LAM_MIN <= lam <= LAM_MAX sits on the diagonal. The caller picks the
-    face by the program's structure. A sublinear program (every m = 0)
-    passes its basis: M v = 0 fixes s = S (1, t[, lam]) by
-    lmikit.face_sigma, S is folded into the coefficients, s >= 0 sits on
-    the diagonal and the LMI is kept on the basis. Otherwise the s_i are
-    variables, except s_i = inf for each Q_i whose class has m == L, and
-    the LMI is kept on _face. Last on the diagonal, each in a row of its
-    own, come t >= 0 and each variable s_i >= 0. Returns the program and
-    a map from its solution to (t, lam, s).
+    LAM_MIN <= lam <= LAM_MAX sits on the diagonal. The s_i are variables,
+    except s_i = inf for each Q_i whose class has m == L, and the LMI is
+    kept on _face. Last on the diagonal, each in a row of its own, come
+    t >= 0 and each variable s_i >= 0. Returns the program and a map from
+    its solution to (t, lam, s).
     """
     qs = _qc_mats(alpha, classes)
     joint = lam is None
@@ -181,19 +160,10 @@ def _rate_program(sense, const, rate, alpha, classes, lam=None, basis=None):
         coefs = [const, rate, RELAX_LIN]
     else:
         coefs = [const + relaxation(lam), rate]
-    n0 = len(coefs)
-    if basis is not None:
-        fold = np.column_stack([face_sigma(alpha, w) for w in coefs])
-        coefs = [w + sum(s * q for s, q in zip(col, qs))
-                 for w, col in zip(coefs, fold.T)]
-        keep, u = [], basis
-    else:
-        fold = np.zeros((0, n0))
-        keep, u = _face(alpha, classes)
-        coefs += [qs[i] for i in keep]
+    keep, u = _face(alpha, classes)
+    coefs += [qs[i] for i in keep]
     signs = [1, *range(2 + joint, len(coefs))]
-    tail = np.zeros((len(coefs), 2 * joint + len(fold) + len(signs)))
-    tail[:n0, 2 * joint:-len(signs)] = -fold.T
+    tail = np.zeros((len(coefs), 2 * joint + len(signs)))
     tail[signs, range(-len(signs), 0)] = -1.0
     if joint:
         u = _bordered(u)
@@ -215,113 +185,135 @@ def _rate_program(sense, const, rate, alpha, classes, lam=None, basis=None):
     def unpack(sol):
         t = float(sol.y[0])
         lam_out = float(min(max(sol.y[1], LAM_MIN), LAM_MAX)) if joint else lam
-        if len(fold):
-            sigma = fold @ np.array([1.0, t, lam_out][:n0])
-        else:
-            sigma = np.full(len(qs), math.inf)
-            sigma[keep] = sol.y[1 + joint:]
+        sigma = np.full(len(qs), math.inf)
+        sigma[keep] = sol.y[1 + joint:]
         return t, lam_out, tuple(float(s) for s in sigma)
     return prob, unpack
 
 
-def certify_residual_rate(alpha, lam, classes,
-                          feas_tol=sdpcore.DEFAULT_FEAS_TOL,
-                          gap_tol=sdpcore.DEFAULT_GAP_TOL,
-                          max_iter=sdpcore.DEFAULT_MAX_ITER):
-    """Maximal theta with W0 + sum sigma_i Q_i <= 0 at fixed (alpha, lam).
+def _horner(coefs, x):
+    value = 0.0
+    for c in coefs:
+        value = value * x + c
+    return value
 
-    With lam=None the relaxation parameter is optimized jointly through the
-    Schur-extended form, searched over [LAM_MIN, LAM_MAX]. The LMI is kept
-    on the face lmikit.RESIDUAL_BASIS spans, where sigma is fixed by
-    (alpha, lam). A certificate is issued only from an optimal solve.
-    """
-    _require_case1(classes)
-    if not alpha > 0:
-        raise CertificationError("alpha must be positive")
-    if lam is not None and not lam > 0:
-        raise CertificationError("lam must be positive")
-    prob, unpack = _rate_program(-1.0, np.zeros((4, 4)), w0_rate(1.0, alpha),
-                                 alpha, classes, lam, basis=RESIDUAL_BASIS)
-    sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
-    # a cut solve's y says nothing of theta, so its status goes first
-    if sol.status not in (sdpcore.STATUS_OPTIMAL, sdpcore.STATUS_INFEASIBLE):
+
+def _roots_between(coefs, lo, hi):
+    """The roots in (lo, hi) where a polynomial (highest power first) changes
+    sign, by bisection: one at most lies between two of its derivative's."""
+    n = len(coefs) - 1
+    slope = [c * (n - i) for i, c in enumerate(coefs[:-1])]
+    ends = [lo, *(_roots_between(slope, lo, hi) if n > 1 else []), hi]
+    roots = []
+    for a, b in zip(ends, ends[1:]):
+        fa = _horner(coefs, a)
+        if fa * _horner(coefs, b) < 0:
+            while a < (x := 0.5 * (a + b)) < b:
+                left = (_horner(coefs, x) < 0) == (fa < 0)
+                a, b = (x, b) if left else (a, x)
+            roots.append(a)
+    return roots
+
+
+def _smallest_root(c3, c2, c1, c0):
+    """The smallest root of a cubic with three positive roots: -c0 / (c3 t2
+    t3) by Vieta, t2 <= t3 from the trigonometric formula, so it keeps its
+    relative accuracy as c0 -> 0, then one Newton step; 0.0 on roundoff."""
+    b, c, d = c2 / c3, c1 / c3, c0 / c3
+    p, q = c - b * b / 3, (2 * b * b - 9 * c) * b / 27 + d
+    r = math.sqrt(max(-p / 3, 0.0))
+    phi = math.acos(max(-1.0, min(1.0, -q / (2 * r) / r / r))) if r else 0.0
+    t3, t2 = (2 * r * math.cos((phi - 2 * math.pi * k) / 3) - b / 3
+              for k in (0, 1))
+    t = -d / (t3 * t2) if t3 * t2 > 0 else 0.0
+    slope = (3 * c3 * t + 2 * c2) * t + c1
+    return t - _horner((c3, c2, c1, c0), t) / slope if t and slope > 0 else t
+
+
+def _closed_form(mode, alpha, lam, theta, classes, lmi):
+    """theta's certificate, lmi(theta) = (W, every sigma_i), or a refusal."""
+    if not theta > 0:
+        raise CertificationError("no positive theta at this (alpha, lam): "
+                                 f"it rounds to {theta:.3g}")
+    w, s = lmi(theta)
+    margin = audit(w, (s, s, s), alpha, classes)
+    if margin > sdpcore.DEFAULT_FEAS_TOL:
         raise CertificationError(
-            f"residual-rate program ended {sol.status} at this (alpha, lam)")
-    theta, lam_out, sigma = unpack(sol)
-    if sol.status == sdpcore.STATUS_INFEASIBLE or theta <= 0:
-        raise CertificationError("no positive theta at this (alpha, lam)")
-    margin = audit(build_w0(lam_out, theta, alpha), sigma, alpha, classes)
-    return RateCertificate(
-        mode=MODE_RESIDUAL, alpha=alpha, lam=lam_out, sigma=sigma,
-        margin=margin, provenance="sdp", theta=theta)
+            f"the closed-form certificate fails the audit by {margin:.3g}")
+    return RateCertificate(mode=mode, alpha=alpha, lam=lam, sigma=(s, s, s),
+                           margin=margin, provenance=CLOSED_FORM, theta=theta)
 
 
-def _objective_program(alpha, Lf, Lh):
-    """The objective-rate program on lmikit.FACE_BASIS, its unpack map and
-    its classes (f with L = Lf, nonsmooth g, h with L = Lh, every m = 0)."""
-    classes = ProblemClasses(RegularityClass(0.0, Lf),
-                             RegularityClass(0.0, math.inf),
-                             RegularityClass(0.0, Lh))
-    prob, unpack = _rate_program(-1.0, np.zeros((4, 4)),
-                                 w1_slope(alpha, Lf, Lh), alpha, classes,
-                                 basis=FACE_BASIS)
-    return prob, unpack, classes
+def certify_residual_rate(alpha, lam, classes):
+    """Maximal theta with W0 + sum sigma_i Q_i <= 0 at (alpha, lam), in closed
+    form, for nonsmooth f and g, Lh-smooth h and every m = 0. v = (1, 1, 1, 1)
+    and w = (0, -1, 0, 1) have v^T M v = w^T M w = 0 for the LMI M, so
+    M <= 0 needs M v = M w = 0: sigma_i = 2 lam / alpha. On the basis
+    (1, 0, -1, 0), (1, -1, 1, -1) of {v, w}-perp, M is N with N_22 = -32 lam
+    / (Lh alpha) and det N = -64 lam (Lh alpha^3 lam + 2 alpha^2 lam^2
+    - 4 alpha^2 lam + 2 theta) / (Lh alpha^3): M <= 0 iff theta <=
+    lmikit.residual_rate, concave in lam; lam=None takes its maximum
+    (4 - alpha Lh) / 4, clipped to [LAM_MIN, LAM_MAX]. Exact in Fraction,
+    theta is issued one ulp below its nearest float.
+    """
+    lh = classes.h.L
+    if classes != _case1_classes(lh) or math.isinf(lh):
+        raise CertificationError(
+            "residual-rate certification needs m = 0 throughout, "
+            "nonsmooth f and g, and Lipschitz h")
+    if not 0 < alpha < math.inf:
+        raise CertificationError("alpha must be positive and finite")
+    if lam is not None and not 0 < lam < math.inf:
+        raise CertificationError("lam must be positive and finite")
+    a, lh = Fraction(alpha), Fraction(lh)
+    if lam is None:
+        lam = min(max(float((4 - a * lh) / 4), LAM_MIN), LAM_MAX)
+    theta = math.nextafter(float(residual_rate(a, Fraction(lam), lh)), 0.0)
+    return _closed_form(MODE_RESIDUAL, alpha, lam, theta, classes,
+                        lambda t: (build_w0(lam, t, alpha), 2.0 * lam / alpha))
 
 
-def certify_objective_rate(alpha, Lf, Lh, feas_tol=sdpcore.DEFAULT_FEAS_TOL,
-                           gap_tol=sdpcore.DEFAULT_GAP_TOL,
-                           max_iter=sdpcore.DEFAULT_MAX_ITER):
-    """Maximal theta for the objective-value rate with smooth f and h.
-
-    Solves the Schur-extended program jointly over (theta, lam, sigma),
-    lam searched over [LAM_MIN, LAM_MAX], on the face M v = 0 spanned by
-    lmikit.FACE_BASIS: it fixes sigma as a linear function of (theta, lam)
-    (lmikit.face_sigma). A certificate is issued only from an optimal solve.
-
-    No solve is made when alpha Lh >= 4 - 2 LAM_MIN, compared exactly in
-    Fraction: no lam in [LAM_MIN, LAM_MAX] then admits a positive theta.
-    This is Davis and Yin's relaxation range lam <= 2 - alpha Lh / 2
-    (Set-Valued Var. Anal. 25, 2017). The proof, on the face:
-    - face_sigma gives sigma = theta s_t + lam s_l with
-      s_t = -(1 / alpha^2)(1, 1, 1) and s_l = (2 / alpha)(1, 1, 1), so a
-      larger theta only tightens sigma >= 0.
-    - theta's coefficient is PSD. Its 3x3 face block
-      B = FACE_BASIS^T (w1_slope + sum s_t,i Q_i) FACE_BASIS has the
-      leading minors (Lh (alpha Lf - 1)^2 + 9 Lf + Lh) / (2 Lf Lh alpha^2),
-      (16 Lf^2 alpha^2 + 9 Lf Lh alpha^2 + 40 Lf alpha + 50)
-      / (4 Lf Lh alpha^4) and 2 / (Lh alpha^4), all positive; its diagonal
-      tail is 1 / alpha^2 on the sigma rows and 0 on the lam rows. So if
-      (theta >= 0, lam) is feasible, so is (0, lam).
-    - At theta = 0 the Schur block is NSD iff L3 + lam e e^T <= 0, with
-      L3 = FACE_BASIS^T (RELAX_LIN + sum s_l,i Q_i) FACE_BASIS and
-      e = (1, 2, 1). Its determinant is
-      det(-(L3 + lam e e^T)) = 32 (4 - alpha Lh - 2 lam) / (Lf Lh alpha^2),
-      and -L3 > 0 iff alpha Lh < 4, so the block is NSD iff
-      alpha Lh + 2 lam <= 4. The smallest lam is LAM_MIN.
-    - At equality only theta = 0 is feasible (B > 0), and a zero theta is
-      refused as it is after a solve.
+def certify_objective_rate(alpha, Lf, Lh):
+    """Maximal theta for the objective-value rate over lam in [LAM_MIN,
+    LAM_MAX], in closed form; f and h are smooth (L = Lf, Lh), g nonsmooth
+    and every m = 0. For the LMI M:
+    - v = (1, 1, 1, 1) has v^T M v = 0, so M <= 0 needs M v = 0: sigma_i =
+      (2 alpha lam - theta) / alpha^2. On a basis of v-perp M is theta B +
+      N(lam), det = 2 p(theta, lam) / (Lf Lh alpha^4) with p the cubic
+      lmikit.objective_cubic, B > 0 and N(lam) <= 0 iff alpha Lh + 2 lam <= 4
+      (Davis and Yin's range, Set-Valued Var. Anal. 25, 2017; the tests check
+      all three in Fraction): alpha Lh >= 4 - 2 LAM_MIN is refused.
+    - Below lam_R = (4 - alpha Lh) / 2, N(lam) < 0, so p's roots (the
+      pencil's eigenvalues) are positive and M <= 0 iff theta <= theta*(lam),
+      the smallest. sigma > 0 there, as p(2 alpha lam, lam) > 0.
+    - theta*(lam_R) = 0, as p's constant term vanishes. An interior maximum
+      lies on an eigenvalue branch, analytic in lam (Rellich), where
+      dtheta/dlam = 0 or two branches cross: p and dp/dlam share a root, so
+      q(lam) = 0 (lmikit.objective_quintic); lam* is LAM_MIN or such a root.
+    theta*(lam*) is issued less 2^-42 of itself: it is within a few ulps.
     """
     if not 0 < alpha < math.inf:
         raise CertificationError("alpha must be positive and finite")
     if not (math.isfinite(Lf) and math.isfinite(Lh) and Lf > 0 and Lh > 0):
         raise CertificationError("Lf and Lh must be finite and positive")
-    if Fraction(alpha) * Fraction(Lh) >= 4 - 2 * Fraction(LAM_MIN):
+    h = Fraction(alpha) * Fraction(Lh)
+    if h >= 4 - 2 * Fraction(LAM_MIN):
         raise CertificationError(
             "alpha * Lh >= 4 - 2 LAM_MIN: no lam in [LAM_MIN, LAM_MAX] gives "
             "a positive theta (Davis-Yin range lam <= 2 - alpha Lh / 2)")
-    prob, unpack, classes = _objective_program(alpha, Lf, Lh)
-    sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
-    if sol.status != sdpcore.STATUS_OPTIMAL:
-        raise CertificationError(
-            f"objective-rate program ended {sol.status} at this alpha")
-    theta, lam, sigma = unpack(sol)
-    if theta <= 0:
-        raise CertificationError("no positive theta at this alpha")
-    margin = audit(build_w1(lam, theta, alpha, Lf, Lh), sigma, alpha,
-                   classes)
-    return RateCertificate(
-        mode=MODE_OBJECTIVE, alpha=alpha, lam=lam, sigma=sigma,
-        margin=margin, provenance="sdp", theta=theta)
+    def theta_at(lam):  # p's factor alpha Lh + 2 lam - 4, rounded once
+        line = float(h + 2 * Fraction(lam) - 4)
+        return _smallest_root(*objective_cubic(alpha, Lf, Lh, lam, line)), lam
+    try:
+        theta, lam = max(map(theta_at, [LAM_MIN, *_roots_between(
+            objective_quintic(alpha, Lf, Lh), LAM_MIN, 2 - alpha * Lh / 2)]))
+        return _closed_form(
+            MODE_OBJECTIVE, alpha, lam, theta * (1.0 - 2.0 ** -42),
+            _case1_classes(Lh, Lf), lambda t: (
+                build_w1(lam, t, alpha, Lf, Lh),
+                (2 * alpha * lam - t) / alpha ** 2))
+    except OverflowError:  # a float power of the data overflowed
+        raise CertificationError("the closed form overflows at this alpha")
 
 
 def linear_rate_value(alpha, classes, lam=None,
@@ -455,7 +447,7 @@ def certify_rate(mode, alpha, classes, lam=None, **solver_kw):
     """The certificate of one mode at one stepsize; lam=None optimizes it.
 
     The objective mode always optimizes lam, so a lam for it is a
-    ValueError.
+    ValueError. Only the linear producer solves, and takes solver_kw.
     """
     if mode == MODE_OBJECTIVE and lam is not None:
         raise ValueError("the objective mode optimizes lambda; "
@@ -463,10 +455,9 @@ def certify_rate(mode, alpha, classes, lam=None, **solver_kw):
     if mode == MODE_LINEAR:
         return certify_linear_rate(alpha, classes, lam=lam, **solver_kw)
     if mode == MODE_RESIDUAL:
-        return certify_residual_rate(alpha, lam, classes, **solver_kw)
+        return certify_residual_rate(alpha, lam, classes)
     if mode == MODE_OBJECTIVE:
-        return certify_objective_rate(alpha, classes.f.L, classes.h.L,
-                                      **solver_kw)
+        return certify_objective_rate(alpha, classes.f.L, classes.h.L)
     raise ValueError(f"unknown mode {mode}")
 
 

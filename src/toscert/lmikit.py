@@ -5,11 +5,11 @@ small dense symmetric matrix: the quadratic-constraint blocks Q(m, L), their
 4x4 sandwiched versions Q1..Q3 (with the direction s_i of each one that a
 class with m == L makes negative semidefinite, Q_i = -(1/2m) s_i s_i^T),
 the Lyapunov difference matrices W0/W1/W2 and the parts they are built
-from, the face of the sublinear programs, the Schur-complement extension,
-and the data of the dual rate program. `certify` assembles its programs
-and audits from these and keeps no copy. All builders are pure functions
-of their arguments. `max_eig`, LAPACK's top eigenvalue, is the audit
-margin of every certificate, taken on the 4x4 LMI W + sum sigma_i Q_i.
+from, the closed forms that solve the sublinear LMIs, the Schur extension
+and the data of the dual rate program. `certify` assembles its programs,
+rates and audits from these and keeps no copy. All builders are pure
+functions of their arguments. `max_eig`, LAPACK's top eigenvalue, is the
+audit margin of every certificate, taken on the 4x4 LMI W + sum sigma_i Q_i.
 `eigvalsh` is the one eigenvalue routine of the package: `max_eig` and
 the IPM loop both call it.
 """
@@ -103,24 +103,37 @@ def nsd_directions(alpha, f, g, h):
             if c.m == c.L}
 
 
-# The face of the sublinear programs (every m = 0): each selector maps
-# v = (1, 1, 1, 1) to (alpha, 0), so Q_i v = (alpha / 2) r_i with r_i the
-# integer second row of S_i, and FACE_FOLD, the integer left inverse of
-# [r_1 r_2 r_3], fixes sigma from M v = 0. FACE_BASIS spans v-perp; the
-# residual program also annihilates w = (0, -1, 0, 1), and RESIDUAL_BASIS
-# is an orthonormal basis of {v, w}-perp.
-FACE_FOLD = np.array([[0, -1, -1, 1], [0, -1, -1, 0], [0, 0, -1, 0]])
-FACE_BASIS = np.array([[1, 1, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]], float)
-RESIDUAL_BASIS = (np.array([[1, 0, -1, 0], [1, -1, 1, -1]]).T
-                  / [math.sqrt(2.0), 2.0])
+def residual_rate(alpha, lam, Lh):
+    """The residual LMI's largest theta, alpha^2 lam (4 - alpha Lh - 2 lam)
+    / 2. This and the next two solve the sublinear LMIs (`certify` has the
+    proofs); with no float literal, each is exact for Fraction arguments."""
+    return alpha ** 2 * lam * (4 - alpha * Lh - 2 * lam) / 2
 
 
-def face_sigma(alpha, w):
-    """-(2 / alpha) FACE_FOLD W v, the sigma with (W + sum sigma_i Q_i) v = 0.
+def objective_cubic(alpha, Lf, Lh, lam, line):
+    """The coefficients (c3, c2, c1, c0) in theta of p(theta, lam), with
+    det = 2 p / (Lf Lh alpha^4) on the objective LMI's face. line is
+    alpha Lh + 2 lam - 4, the factor of c0 that cancels near the refusal
+    line: a caller with float data passes it rounded from its exact value."""
+    f, h = alpha * Lf, alpha * Lh
+    return (Lf, 4 * lam ** 2 - 8 * lam - 8 * f * lam,
+            8 * alpha * lam ** 2 * (2 * f - h - 3 * lam + 6),
+            16 * alpha ** 2 * lam ** 3 * line)
 
-    It takes no float literal, so it is exact for Fraction alpha and W.
-    """
-    return -(2 / alpha) * (FACE_FOLD @ w.sum(axis=1))
+
+def objective_quintic(alpha, Lf, Lh):
+    """q5..q0 of q(lam), with Res_theta(p, dp/dlam) = -4096 alpha^4 lam^6 q."""
+    f, h = alpha * Lf, alpha * Lh
+    return (16, -4 * (f - 8 * h + 36),
+            16 * (f ** 2 + 5 * f * h + f + h ** 2 - 15 * h + 32),
+            4 * (f ** 2 * h - 20 * f ** 2 + 23 * f * h ** 2 - 99 * f * h
+                 - 4 * f - 28 * h ** 2 + 164 * h - 224),
+            4 * (16 * f ** 3 * h + 14 * f ** 2 * h ** 2 - 16 * f ** 2 * h
+                 + 32 * f ** 2 + 13 * f * h ** 3 - 80 * f * h ** 2
+                 + 160 * f * h - 4 * h ** 3 + 56 * h ** 2 - 192 * h + 192),
+            (h - 4) * (16 * f ** 3 * h + 13 * f ** 2 * h ** 2
+                       - 8 * f ** 2 * h + 16 * f ** 2 + 8 * f * h ** 3
+                       - 40 * f * h ** 2 + 80 * f * h + 16 * (h - 2) ** 2))
 
 
 # The parts every certificate LMI is written from, here and nowhere else.
@@ -147,11 +160,6 @@ def relaxation(lam):
     return lam ** 2 * RELAX_P + lam * RELAX_LIN
 
 
-def w0_rate(theta, alpha):
-    """The rate term theta / alpha^2 RELAX_P of W0."""
-    return theta / alpha ** 2 * RELAX_P
-
-
 def w1_slope(alpha, Lf, Lh):
     """The coefficient of theta in W1."""
     c = 1.0 / (alpha ** 2 * Lh)
@@ -168,7 +176,7 @@ def build_w0(lam, theta, alpha):
     """The 4x4 Lyapunov difference matrix of the residual-rate certificate."""
     if not (lam > 0 and theta > 0 and alpha > 0):
         raise ValueError("lam, theta, alpha must be positive")
-    return relaxation(lam) + w0_rate(theta, alpha)
+    return relaxation(lam) + theta / alpha ** 2 * RELAX_P
 
 
 def build_w1(lam, theta, alpha, Lf, Lh):

@@ -1,6 +1,8 @@
 """Tests for certificate producers, duals, sweeps, and empirical checks."""
 
 import math
+import os
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -19,7 +21,12 @@ from toscert.certify import (CertificationError, MODE_LINEAR, MODE_OBJECTIVE,
                              sweep_alpha, symbolic_sublinear)
 from toscert.lmikit import (RegularityClass, build_dual_data,
                             build_qc_triplet, build_w0, build_w1, build_w2,
-                            eta_vector, schur_extend)
+                            eta_vector, objective_cubic, residual_rate,
+                            schur_extend)
+
+import face_programs
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 
 def _cls(mf, lf, mg, lg, mh, lh):
@@ -29,6 +36,10 @@ def _cls(mf, lf, mg, lg, mh, lh):
 
 STRONG_G = _cls(0.0, math.inf, 1.0, 10.0, 0.0, 20.0)
 STRONG_F_EQUAL = _cls(20.0, 20.0, 0.0, math.inf, 0.0, 70.0)
+
+
+def _banned_solve(*args, **kwargs):
+    raise AssertionError("solve_sdp called")
 
 
 def test_symbolic_closed_form():
@@ -83,21 +94,6 @@ def test_residual_rate_free_lambda():
 STALLED_POINTS = [(0.5413183669370272, 1.5), (0.05860511487667399, None)]
 
 
-# a cut of 3 keeps the plain point ids, so results stay comparable by id
-CUT_SOLVES = [pytest.param(alpha, lam, cut, id=f"{alpha}-{lam}" if cut == 3
-                           else f"{alpha}-{lam}-{cut}")
-              for cut in (3, 1) for alpha, lam in STALLED_POINTS + [(1.0, 1.0)]]
-
-
-@pytest.mark.parametrize("alpha, lam, max_iter", CUT_SOLVES)
-def test_residual_rate_refuses_non_optimal_solves(alpha, lam, max_iter):
-    # every cut solve stops at maxIterations, at a cut of 1 with theta = 0:
-    # no certificate may come from them, and they are not called infeasible
-    with pytest.raises(CertificationError, match="ended maxIterations"):
-        certify_residual_rate(alpha, lam, certify._case1_classes(1.0),
-                              max_iter=max_iter)
-
-
 @pytest.mark.parametrize("alpha, lam", STALLED_POINTS)
 def test_residual_rate_certifies_on_its_face(alpha, lam):
     # without the face these solves stalled at maxIterations with audit
@@ -107,16 +103,10 @@ def test_residual_rate_certifies_on_its_face(alpha, lam):
 
 
 def test_residual_grid_is_decisive(monkeypatch):
-    # every solve on the grid ends optimal or infeasible, every certificate
-    # passes its audit, and the SDP meets the closed form at (1, 1)
-    statuses = []
-    solve = sdpcore.solve_sdp
-
-    def spy(prob, *args, **kwargs):
-        sol = solve(prob, *args, **kwargs)
-        statuses.append(sol.status)
-        return sol
-    monkeypatch.setattr(sdpcore, "solve_sdp", spy)
+    # the residual producer makes no solve: every certificate on the grid
+    # passes its audit, and at (1, 1) it is the closed form of
+    # symbolic_sublinear
+    monkeypatch.setattr(sdpcore, "solve_sdp", _banned_solve)
     case1 = certify._case1_classes(1.0)
     for lam in (None, 0.5, 1.0, 1.5):
         for alpha in np.geomspace(0.05, 5.0, 30):
@@ -125,11 +115,10 @@ def test_residual_grid_is_decisive(monkeypatch):
             except CertificationError:
                 continue
             assert cert.margin <= 1e-12, (alpha, lam)
-    assert len(statuses) == 120
-    assert set(statuses) <= {sdpcore.STATUS_OPTIMAL,
-                             sdpcore.STATUS_INFEASIBLE}
+            assert cert.provenance == certify.CLOSED_FORM
     theta = certify_residual_rate(1.0, 1.0, case1).theta
-    assert abs(theta - symbolic_sublinear(1.0, 1.0).theta) <= 1e-9
+    want = symbolic_sublinear(1.0, 1.0).theta
+    assert abs(theta - want) <= 1e-15 * want
 
 
 def test_residual_rate_input_validation():
@@ -194,6 +183,10 @@ def test_objective_rate_validation():
         certify_objective_rate(0.0, 1.0, 1.0)
     with pytest.raises(CertificationError):
         certify_objective_rate(1.0, math.inf, 1.0)
+    # the closed form's float powers overflow: a refusal, not an error
+    for point in ((1.0, 1e300, 1.0), (1e150, 1.0, 1e-160)):
+        with pytest.raises(CertificationError, match="overflows"):
+            certify_objective_rate(*point)
 
 
 def test_objective_mode_refuses_a_pinned_lambda(monkeypatch):
@@ -238,8 +231,8 @@ def _exact_objective_data(alpha, lf, lh):
 
 def _on_face(alpha, w, qs):
     """(sigma, FACE_BASIS^T (W + sum sigma_i Q_i) FACE_BASIS) for W's sigma."""
-    sigma = lmikit.face_sigma(alpha, w)
-    u = lmikit.FACE_BASIS.astype(int)
+    sigma = face_programs.face_sigma(alpha, w)
+    u = face_programs.FACE_BASIS.astype(int)
     return sigma, u.T @ (w + sum(si * qi for si, qi in zip(sigma, qs))) @ u
 
 
@@ -266,13 +259,16 @@ def _lam_det(a, lf, lh, lam):
 def test_objective_rule_closed_forms_are_exact():
     # the proof in certify_objective_rate's docstring, in Fraction
     relax_lin = lmikit.RELAX_LIN.astype(int)
-    assert (lmikit.FACE_BASIS.T @ eta_vector(1.0)).tolist() == [1, 2, 1]
+    relax_p = lmikit.RELAX_P.astype(int)
+    assert (face_programs.FACE_BASIS.T @ eta_vector(1.0)).tolist() == [1, 2, 1]
     for a, lf, lh in OBJECTIVE_GRID:
         qs, slope = _exact_objective_data(a, lf, lh)
         s_theta, b = _on_face(a, slope, qs)
         s_lam, l3 = _on_face(a, relax_lin, qs)
+        s_lam2, p3 = _on_face(a, relax_p, qs)
         assert s_theta.tolist() == [-1 / a ** 2] * 3
         assert s_lam.tolist() == [2 / a] * 3
+        assert s_lam2.tolist() == [0] * 3 and (p3 == FACE_E @ FACE_E.T).all()
         minors = _leading_minors(b)
         assert minors == _slope_minors(a, lf, lh)
         assert all(d > 0 for d in minors)
@@ -280,15 +276,30 @@ def test_objective_rule_closed_forms_are_exact():
         for lam in (F(certify.LAM_MIN), F(1, 2), F(2), F(certify.LAM_MAX)):
             m = -(l3 + lam * (FACE_E @ FACE_E.T))
             assert _leading_minors(m)[2] == _lam_det(a, lf, lh, lam)
+            # the face block's determinant is 2 p / (Lf Lh alpha^4)
+            for th in (F(0), F(1, 3), 2 * a * lam, F(7)):
+                det = _leading_minors(th * b + lam * l3 + lam ** 2 * p3)[2]
+                assert det == 2 * _cubic_at(a, lf, lh, lam, th) \
+                    / (lf * lh * a ** 4)
+            # sigma >= 0 never binds: p(2 alpha lam) = 8 Lf alpha^3 lam^3
+            assert _cubic_at(a, lf, lh, lam, 2 * a * lam) \
+                == 8 * lf * a ** 3 * lam ** 3
+
+
+def _cubic_at(a, lf, lh, lam, theta):
+    """p(theta, lam), exactly."""
+    return sum(c * theta ** (3 - k)
+               for k, c in enumerate(objective_cubic(a, lf, lh, lam,
+                                                  a * lh + 2 * lam - 4)))
 
 
 def test_objective_program_matches_the_closed_forms():
-    # the float program the producer solves, against the closed forms at
-    # the rationals its floats are
+    # the float program of tests/face_programs.py, the IPM's fixture,
+    # against the closed forms at the rationals its floats are
     for point in OBJECTIVE_GRID:
         x = tuple(float(v) for v in point)
         a, lf, lh = (F(v) for v in x)
-        prob = certify._objective_program(*x)[0]
+        prob = face_programs.objective_program(*x)[0]
         f_theta, f_lam = prob.fi
         for got, want in zip(_leading_minors(f_theta[:3, :3]),
                              _slope_minors(a, lf, lh)):
@@ -323,34 +334,137 @@ def _counted_solves(monkeypatch):
     return statuses
 
 
-@pytest.mark.parametrize("lh", [0.7, 1.0, 3.0, 10.0, 30.0])
-def test_objective_rule_refuses_without_a_solve(monkeypatch, lh):
+def _first_refused(lh):
+    """The first float alpha with alpha lh >= 4 - 2 LAM_MIN, exactly."""
     bound = 4 - 2 * F(certify.LAM_MIN)
     alpha = float(bound / F(lh))
     while F(alpha) * F(lh) < bound:
         alpha = math.nextafter(alpha, math.inf)
-    # alpha is the first float on the refused side
     assert F(math.nextafter(alpha, 0.0)) * F(lh) < bound
+    return alpha
+
+
+@pytest.mark.parametrize("lh", [0.7, 1.0, 3.0, 10.0, 30.0])
+def test_objective_rule_refuses_without_a_solve(monkeypatch, lh):
+    alpha = _first_refused(lh)
     statuses = _counted_solves(monkeypatch)
     for a in (alpha, 4.0 / lh, 1e300):
         with pytest.raises(CertificationError, match="4 - 2 LAM_MIN"):
             certify_objective_rate(a, 2.0, lh)
-    assert statuses == []
     cert = certify_objective_rate(3.99 / lh, 2.0, lh)
-    assert statuses == [sdpcore.STATUS_OPTIMAL]
+    assert statuses == []
     assert cert.theta > 0 and cert.margin <= 1e-8
+
+
+# just below alpha Lh = 4 - 2 LAM_MIN theta* falls with the square of the
+# distance to the line; the IPM ended maxIterations at each of these
+NEAR_THE_LINE = [(None, 2.0, lh) for lh in (0.7, 3.0, 10.0, 30.0)] \
+    + [(3.99999 / 3.0, 10.0, 3.0)]
+
+
+@pytest.mark.parametrize("alpha, lf, lh", NEAR_THE_LINE, ids=[
+    "last-0.7", "last-3", "last-10", "last-30", "3.99999-10-3"])
+def test_objective_rate_just_below_the_line(monkeypatch, alpha, lf, lh):
+    # no solve: theta is issued positive and passes its audit, or it is
+    # refused because it rounds to 0. An issued theta lies below the root,
+    # exactly
+    monkeypatch.setattr(sdpcore, "solve_sdp", _banned_solve)
+    if alpha is None:
+        alpha = math.nextafter(_first_refused(lh), 0.0)
+    try:
+        cert = certify_objective_rate(alpha, lf, lh)
+    except CertificationError as err:
+        assert "rounds to" in str(err)
+        return
+    assert 0 < cert.theta < 1e-8 and cert.margin <= 1e-8
+    _assert_objective_exact((alpha, lf, lh), cert, rel=None)
 
 
 def test_objective_sweep_refuses_past_the_rule_without_a_solve(monkeypatch):
     grid = [0.5, 1.0, 1.9, 2.0, 2.5, 4.0]
     classes = _cls(0.0, 3.0, 0.0, math.inf, 0.0, 2.0)
-    statuses = _counted_solves(monkeypatch)
+    monkeypatch.setattr(sdpcore, "solve_sdp", _banned_solve)
     curve, (best_alpha, _) = sweep_alpha(grid, classes, MODE_OBJECTIVE)
     assert [rec["feasible"] for rec in curve] == [True] * 3 + [False] * 3
-    assert statuses == [sdpcore.STATUS_OPTIMAL] * 3
     for rec in curve[3:]:
         assert rec["rate"] == 0.0 and rec["lambda"] is None
     assert best_alpha in grid[:3]
+
+
+def _assert_objective_exact(point, cert, rel=F(1, 10 ** 12)):
+    """cert's theta lies at or below the root theta*(lam) at its own lam,
+    and within rel of it, checked in Fraction at the issued rationals: the
+    LMI with sigma_i = (2 alpha lam - theta) / alpha^2 is null on
+    v = (1, 1, 1, 1) and NSD on FACE_BASIS."""
+    a, lf, lh = (F(v) for v in point)
+    th, lam = F(cert.theta), F(cert.lam)
+    qs, slope = _exact_objective_data(a, lf, lh)
+    s = (2 * a * lam - th) / a ** 2
+    m = (lam ** 2 * lmikit.RELAX_P.astype(int)
+         + lam * lmikit.RELAX_LIN.astype(int) + th * slope + s * sum(qs))
+    assert not (m @ np.ones(4, dtype=int)).any()
+    u = face_programs.FACE_BASIS.astype(int)
+    n1, n2, n3 = _leading_minors(u.T @ m @ u)
+    assert n1 < 0 and n2 > 0 and n3 <= 0 and s >= 0, point
+    assert _cubic_at(a, lf, lh, lam, th) <= 0, point
+    if rel is not None:
+        assert _cubic_at(a, lf, lh, lam, th * (1 + rel)) >= 0, point
+
+
+# the residual face {v, w}-perp, v = (1, 1, 1, 1) and w = (0, -1, 0, 1)
+RESIDUAL_FACE = np.array([[1, 1], [0, -1], [-1, 1], [0, -1]])
+
+
+def _assert_residual_exact(alpha, lh, cert, rel=F(1, 10 ** 12)):
+    """The residual LMI at the issued rationals, sigma_i = 2 lam / alpha:
+    null on v and w, NSD on the face, and theta within rel of the bound."""
+    a, lh, th, lam = F(alpha), F(lh), F(cert.theta), F(cert.lam)
+    sel = [np.array([[F(x) for x in row] for row in s], dtype=object)
+           for s in lmikit._selectors(a)]
+    half = F(1, 2)
+    bases = [np.array([[0, half], [half, -1 / lh if k == 1 else 0]],
+                      dtype=object) for k in range(3)]
+    relax_p = lmikit.RELAX_P.astype(int)
+    m = (lam ** 2 + th / a ** 2) * relax_p + lam * lmikit.RELAX_LIN.astype(int)
+    m = m + sum(2 * lam / a * (s.T @ q @ s) for s, q in zip(sel, bases))
+    assert not (m @ np.ones(4, dtype=int)).any()
+    assert not (m @ np.array([0, -1, 0, 1])).any()
+    n = RESIDUAL_FACE.T @ m @ RESIDUAL_FACE
+    assert n[1, 1] < 0 and n[0, 0] * n[1, 1] - n[0, 1] * n[1, 0] >= 0
+    assert th >= residual_rate(a, lam, lh) * (1 - rel)
+
+
+def test_sublinear_certificates_are_exact(monkeypatch):
+    # every certificate issued on the objective-surface grids at seeds 0-3
+    # and on the residual grid (tools/parity.py's), with no solve: checked
+    # in Fraction at the issued rationals, with theta within 1e-12 of the
+    # exact rate at the issued lam
+    from perfbench import workloads
+    monkeypatch.setattr(sdpcore, "solve_sdp", _banned_solve)
+    issued = 0
+    for point in [p for seed in (0, 1, 2, 3)
+                  for p in workloads.ObjectiveSurface(seed).points]:
+        try:
+            cert = certify_objective_rate(*point)
+        except CertificationError as err:
+            assert "4 - 2 LAM_MIN" in str(err), point
+            continue
+        assert cert.provenance == certify.CLOSED_FORM
+        _assert_objective_exact(point, cert)
+        issued += 1
+    assert issued == 1112
+    case1 = certify._case1_classes(1.0)
+    issued = 0
+    for lam in (None, 0.5, 1.0, 1.5):
+        for alpha in workloads.seeded_grid(*workloads.SURFACE_ALPHAS, 0):
+            try:
+                cert = certify_residual_rate(alpha, lam, case1)
+            except CertificationError as err:
+                assert "no positive theta" in str(err), (alpha, lam)
+                continue
+            _assert_residual_exact(alpha, 1.0, cert)
+            issued += 1
+    assert issued == 97
 
 
 def test_linear_rate_point():
@@ -715,7 +829,7 @@ def _paper_program(shape, y, lmi):
             alpha, certify._case1_classes(1.0), sigma)
         # the face: equal deviations v and w = (0, -1, 0, 1) are null
         # directions, and the basis is orthonormal and orthogonal to both
-        basis = lmikit.RESIDUAL_BASIS
+        basis = face_programs.RESIDUAL_BASIS
         assert np.abs(basis.T @ basis - np.eye(2)).max() <= 1e-15
         for d in (np.ones(4), np.array([0.0, -1.0, 0.0, 1.0])):
             assert np.abs(m @ d).max() <= 1e-12 * np.abs(m).max()
@@ -730,7 +844,7 @@ def _paper_program(shape, y, lmi):
         m = build_w1(y[1], y[0], 0.7, 2.0, 3.0) + _qc_sum(0.7, classes, sigma)
         # the face: equal deviations of every variable are a null direction
         assert np.abs(m @ np.ones(4)).max() <= 1e-12 * np.abs(m).max()
-        basis = lmikit.FACE_BASIS
+        basis = face_programs.FACE_BASIS
         assert np.linalg.matrix_rank(basis) == 3
         assert not (basis.T @ np.ones(4)).any()
         return block_diag(_schur_on(m, y[1], basis),
@@ -746,23 +860,37 @@ def _paper_program(shape, y, lmi):
         np.diag(-np.append(y[0], y[2:])))
 
 
+def _face_solve(program, *args):
+    return sdpcore.solve_sdp(program(*args)[0])
+
+
+# the sublinear programs are tests/face_programs.py's: their producers
+# solve them in closed form, and the optimum must meet that closed form
 _PRODUCERS = {
+    "residual-pinned": lambda: _face_solve(
+        face_programs.residual_program, 1.5, 0.5, certify._case1_classes(1.0)),
+    "residual-joint": lambda: _face_solve(
+        face_programs.residual_program, 1.0, None, certify._case1_classes(1.0)),
+    "objective-face": lambda: _face_solve(face_programs.objective_program,
+                                          0.7, 2.0, 3.0),
+    "linear-pinned": lambda: linear_rate_value(0.02, STRONG_F_EQUAL,
+                                               lam=LINEAR_LAM),
+    "linear-joint": lambda: linear_rate_value(0.02, STRONG_F_EQUAL),
+}
+_CLOSED_FORMS = {
     "residual-pinned": lambda: certify_residual_rate(
         1.5, 0.5, certify._case1_classes(1.0)),
     "residual-joint": lambda: certify_residual_rate(
         1.0, None, certify._case1_classes(1.0)),
     "objective-face": lambda: certify_objective_rate(0.7, 2.0, 3.0),
-    "linear-pinned": lambda: linear_rate_value(0.02, STRONG_F_EQUAL,
-                                               lam=LINEAR_LAM),
-    "linear-joint": lambda: linear_rate_value(0.02, STRONG_F_EQUAL),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(_PRODUCERS))
 def test_program_matches_paper_lmi(shape, monkeypatch):
-    # the program each producer solves, against the same LMI assembled from
-    # W0, W1, W2, the Q_i, the Schur extension and the subspace, at the
-    # solved point and at random admissible (rate, lam, sigma)
+    # the program of each shape, against the same LMI assembled from W0,
+    # W1, W2, the Q_i, the Schur extension and the subspace, at the solved
+    # point and at random admissible (rate, lam, sigma)
     seen = []
     solve = sdpcore.solve_sdp
 
@@ -774,6 +902,9 @@ def test_program_matches_paper_lmi(shape, monkeypatch):
     _PRODUCERS[shape]()
     (prob, sol), = seen
     assert sol.status == sdpcore.STATUS_OPTIMAL
+    if shape in _CLOSED_FORMS:
+        theta = _CLOSED_FORMS[shape]().theta
+        assert sol.y[0] * (1 - 1e-12) <= theta <= sol.y[0] * (1 + 1e-6)
     rng = np.random.default_rng(sorted(_PRODUCERS).index(shape))
     points = [sol.y]
     for _ in range(20):

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toscert import lmikit
-from toscert.lmikit import (FACE_FOLD, KRON_DIM_CAP, RELAX_LIN, RELAX_P,
+from toscert.lmikit import (KRON_DIM_CAP, RELAX_LIN, RELAX_P,
                             RegularityClass, build_dual_data,
                             build_qc_triplet, build_w0, build_w1, build_w2,
-                            eigvalsh, eta_vector, face_sigma, kron_identity,
-                            max_eig, qc_base, schur_extend, sym_check,
-                            w1_slope)
+                            eigvalsh, eta_vector, kron_identity, max_eig,
+                            objective_cubic, objective_quintic, qc_base,
+                            schur_extend, sym_check, w1_slope)
+from face_programs import FACE_FOLD, face_sigma
 from test_sdpcore import _exact_pd
 
 
@@ -110,6 +111,58 @@ def test_face_sigma_matches_least_squares(alpha, lf, lh):
     got = face_sigma(alpha, w)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
     assert np.abs(w @ v + qv @ got).max() <= 1e-12 * np.abs(w).max()
+
+
+def _det(rows):
+    """The determinant of a square matrix of Fractions, by elimination."""
+    rows = [list(r) for r in rows]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        piv = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in rows[col + 1:]:
+            f = r[col] / rows[col][col]
+            r[:] = [a - f * b for a, b in zip(r, rows[col])]
+    return det
+
+
+def _derivative_at(fn, x, degree):
+    """fn'(x) for a polynomial fn of at most the given degree, exactly:
+    Lagrange interpolation on the nodes x + k, differentiated at x."""
+    nodes = [x + k for k in range(degree + 1)]
+    total = Fraction(0)
+    for i, xi in enumerate(nodes):
+        others = [xj for j, xj in enumerate(nodes) if j != i]
+        denom = math.prod(xi - xj for xj in others)
+        # d/dx of prod (x - xj) at x = nodes[0]
+        slope = sum(math.prod(x - xk for xk in others if xk != xj)
+                    for xj in others)
+        total += fn(xi) * slope / denom
+    return total
+
+
+@pytest.mark.parametrize("alpha, lf, lh, lam", [
+    ("1", "1", "1", "1/2"), ("1/3", "10", "3", "7/5"), ("2", "1/2", "1", "3"),
+    ("1/20", "30", "30", "1/1000"), ("5/4", "3", "1/7", "2/3")])
+def test_objective_quintic_is_the_resultant(alpha, lf, lh, lam):
+    # Res_theta(p, dp/dlam) as a Sylvester determinant in Fraction, with
+    # dp/dlam's coefficients differentiated exactly from p's
+    a, lf, lh, lam = (Fraction(v) for v in (alpha, lf, lh, lam))
+    def cubic(x):
+        return objective_cubic(a, lf, lh, x, a * lh + 2 * x - 4)
+    p = cubic(lam)
+    dp = [_derivative_at(lambda x, k=k: cubic(x)[k], lam, 4)
+          for k in range(1, 4)]
+    sylvester = [[*p, 0], [0, *p], [*dp, 0, 0], [0, *dp, 0], [0, 0, *dp]]
+    q = sum(c * lam ** (5 - k)
+            for k, c in enumerate(objective_quintic(a, lf, lh)))
+    assert q != 0
+    assert _det(sylvester) == -4096 * a ** 4 * lam ** 6 * q
 
 
 def test_sym_check_symmetrizes_and_validates():

@@ -10,6 +10,7 @@ import pytest
 from scipy.linalg import block_diag
 from scipy.linalg.lapack import dpotrf, dpotrs
 
+from face_programs import objective_program
 from toscert import certify, sdpcore
 from toscert.lmikit import (RegularityClass, build_qc_triplet, build_w0,
                            eigvalsh)
@@ -68,9 +69,9 @@ def test_infeasible_detection():
 
 
 def _objective_solve(alpha, lf, lh):
-    """solve_sdp on the objective-rate program, which the producer refuses
-    without a solve when alpha lh >= 4 - 2 LAM_MIN: an IPM fixture."""
-    return solve_sdp(certify._objective_program(alpha, lf, lh)[0])
+    """solve_sdp on the objective-rate program, which the producer solves
+    in closed form or refuses without a solve: an IPM fixture."""
+    return solve_sdp(objective_program(alpha, lf, lh)[0])
 
 
 def test_refusal_is_one_solve(monkeypatch):
@@ -243,10 +244,8 @@ def test_iterations_are_steplen_calls_over_four(monkeypatch):
         sol = solve_sdp(prob)
         assert sol.status == STATUS_OPTIMAL
         assert calls[0] == 4 * sol.iterations > 0
-    solved = _recorded_solves(monkeypatch)
     calls[0] = 0
-    certify.certify_objective_rate(1.0, 1.0, 1.0)
-    (sol,) = solved
+    sol = _objective_solve(1.0, 1.0, 1.0)
     assert sol.status == STATUS_OPTIMAL
     assert calls[0] == 4 * sol.iterations > 0
     calls[0] = 0
@@ -281,16 +280,16 @@ def test_norm_matches_numpy_bitwise():
 
 
 def _loop_outcomes(monkeypatch):
-    """Every solve of the analytic instances, two certificate calls and one
-    refused objective program.
+    """Every solve of the analytic instances, an objective program, a
+    refused one and a linear certificate call.
 
     Undoes every monkeypatch once the solves are made.
     """
     solved = _recorded_solves(monkeypatch)
     for prob, _ in analytic_instances():
         sdpcore.solve_sdp(prob)
-    certify.certify_objective_rate(1.0, 1.0, 1.0)
-    refused = certify._objective_program(5.0, 3.0, 3.0)[0]
+    sdpcore.solve_sdp(objective_program(1.0, 1.0, 1.0)[0])
+    refused = objective_program(5.0, 3.0, 3.0)[0]
     assert sdpcore.solve_sdp(refused).status == STATUS_INFEASIBLE
     strong_g = certify.ProblemClasses(RegularityClass(0.0, math.inf),
                                       RegularityClass(1.0, 10.0),
@@ -457,10 +456,10 @@ def test_loop_takes_eigenvalues_only_for_steps_rays_and_lifts(monkeypatch):
     solved = _recorded_solves(monkeypatch)
     for prob, _ in analytic_instances():
         sdpcore.solve_sdp(prob)
-    certify.certify_objective_rate(1.0, 1.0, 1.0)
+    sdpcore.solve_sdp(objective_program(1.0, 1.0, 1.0)[0])
     iters = sum(sol.iterations for sol in solved)
     assert callers == {"_steplen": 4 * iters}
-    refused = certify._objective_program(5.0, 3.0, 3.0)[0]
+    refused = objective_program(5.0, 3.0, 3.0)[0]
     assert sdpcore.solve_sdp(refused).status == STATUS_INFEASIBLE
     assert callers["_steplen"] == 4 * sum(sol.iterations for sol in solved)
     assert set(callers) == {"_steplen", "_ipm"}

@@ -9,9 +9,9 @@ wraps `sdpcore.solve_sdp`. It then runs the operations of
 inputs from `perfbench.workloads`, `objective-refusals` (the seed-0
 surface points that `certify_objective_rate` refuses without a solve,
 alpha L_h >= 4 - 2 LAM_MIN, each program solved once through
-`certify._objective_program`, so that the IPM's Farkas path stays
-covered; a tree without that helper solves the same program inside the
-producer), the residual-rate grid (lambda
+`objective_program` of `tests/face_programs.py`, so that the IPM's Farkas
+path stays covered; a tree without that file takes
+`certify._objective_program`), the residual-rate grid (lambda
 joint, 0.5, 1.0 and 1.5 over the surface's stepsizes), `linear-near-equal`
 (linear-duality's set e, whose f has m = L = 20, with L_f raised to
 20 (1 + delta): a joint certificate and one pinned at its lambda over set
@@ -20,7 +20,10 @@ shows in the diff) and `sdpcore-cases`:
 `sdpcore.analytic_instances()` and the `feasibility_margin` programs of
 the tests: scalar ones whose data runs up to 1e6, and the residual-rate
 LMI with each multiplier's sign as a diagonal row of its own, its margin
-taken over the whole block. For each solve it writes the
+taken over the whole block. The objective and residual producers solve in
+closed form, so the `objective-surface` and `residual-grid` sections record
+rates and no solve; `objective-refusals` still solves its 200 programs.
+For each solve it writes the
 status, the bytes of y, the iteration count, the audit slack, the
 objective and the residuals pres, dres and gap. For each operation it
 writes the rates issued (None for a refusal); an `sdpcore-cases`
@@ -113,16 +116,14 @@ def _refusal_operations():
     """
     from perfbench import workloads
     from toscert import certify, sdpcore
-
-    program = getattr(certify, "_objective_program", None)
+    try:
+        from face_programs import objective_program
+    except ImportError:  # a tree from before the closed forms
+        objective_program = certify._objective_program
     bound = 4 - 2 * Fraction(certify.LAM_MIN)
 
     def solve(point):
-        if program is None:
-            cert = workloads._certify_or_none(certify.certify_objective_rate,
-                                              *point)
-            return None if cert is None else cert.theta
-        sol = sdpcore.solve_sdp(program(*point)[0])
+        sol = sdpcore.solve_sdp(objective_program(*point)[0])
         optimal = sol.status == sdpcore.STATUS_OPTIMAL and sol.y[0] > 0
         return float(sol.y[0]) if optimal else None
     for point in workloads.ObjectiveSurface(0).points:
@@ -207,7 +208,8 @@ def _lqr_traces():
 
 
 def dump(out):
-    sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+    sys.path[:0] = [os.path.join(ROOT, "src"), ROOT,
+                    os.path.join(ROOT, "tests")]
     from toscert import sdpcore
 
     solves = []
