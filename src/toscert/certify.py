@@ -23,6 +23,7 @@ from .lmikit import (RATE_E, RELAX_LIN, RegularityClass, build_dual_data,
 
 LAM_MIN = 1e-6
 LAM_MAX = 4.0
+_REFUSAL_LINE = 4 - 2 * Fraction(LAM_MIN)  # alpha Lh at or above it: refused
 
 MODE_RESIDUAL = "sublinearResidual"
 MODE_OBJECTIVE = "sublinearObjective"
@@ -200,7 +201,10 @@ def _horner(coefs, x):
 
 def _roots_between(coefs, lo, hi):
     """The roots in (lo, hi) where a polynomial (highest power first) changes
-    sign, by bisection: one at most lies between two of its derivative's."""
+    sign; one at most lies between two of its derivative's. Newton, kept in
+    each bracket [a, b] whose ends differ in sign (rtsafe): x replaces the end
+    of its sign, so the root stays in [a, b], and a step that leaves (a, b)
+    or is not half the one two before bisects. A step below 4 ulps ends it."""
     n = len(coefs) - 1
     slope = [c * (n - i) for i, c in enumerate(coefs[:-1])]
     ends = [lo, *(_roots_between(slope, lo, hi) if n > 1 else []), hi]
@@ -208,10 +212,15 @@ def _roots_between(coefs, lo, hi):
     for a, b in zip(ends, ends[1:]):
         fa = _horner(coefs, a)
         if fa * _horner(coefs, b) < 0:
-            while a < (x := 0.5 * (a + b)) < b:
-                left = (_horner(coefs, x) < 0) == (fa < 0)
-                a, b = (x, b) if left else (a, x)
-            roots.append(a)
+            x, last, older = 0.5 * (a + b), b - a, b - a
+            while a < x < b and last > 4 * math.ulp(x):
+                fx, d = _horner(coefs, x), _horner(slope, x)
+                a, b = (x, b) if (fx < 0) == (fa < 0) else (a, x)
+                step = fx / d if d else math.inf
+                if step and not (a < x - step < b and 2 * abs(step) <= older):
+                    step = x - 0.5 * (a + b)
+                x, last, older = x - step, abs(step), last
+            roots.append(x)
     return roots
 
 
@@ -230,13 +239,20 @@ def _smallest_root(c3, c2, c1, c0):
     return t - _horner((c3, c2, c1, c0), t) / slope if t and slope > 0 else t
 
 
-def _closed_form(mode, alpha, lam, theta, classes, lmi):
-    """theta's certificate, lmi(theta) = (W, every sigma_i), or a refusal."""
-    if not theta > 0:
-        raise CertificationError("no positive theta at this (alpha, lam): "
-                                 f"it rounds to {theta:.3g}")
-    w, s = lmi(theta)
-    margin = audit(w, (s, s, s), alpha, classes)
+def _closed_form(mode, alpha, classes, rate, lmi):
+    """The certificate of (theta, lam) = rate(), lmi(theta, lam) = (W, every
+    sigma_i), or a refusal, also where a float step leaves the float range."""
+    try:
+        theta, lam = rate()
+        if not theta > 0:
+            raise CertificationError(f"no positive theta: rounds to {theta}")
+        w, s = lmi(theta, lam)
+        if not (math.isfinite(s) and np.isfinite(w).all()):
+            raise OverflowError
+        with np.errstate(over="raise"):
+            margin = audit(w, (s, s, s), alpha, classes)
+    except (OverflowError, ZeroDivisionError, FloatingPointError):
+        raise CertificationError("closed form overflows or underflows here")
     if margin > sdpcore.DEFAULT_FEAS_TOL:
         raise CertificationError(
             f"the closed-form certificate fails the audit by {margin:.3g}")
@@ -266,11 +282,13 @@ def certify_residual_rate(alpha, lam, classes):
     if lam is not None and not 0 < lam < math.inf:
         raise CertificationError("lam must be positive and finite")
     a, lh = Fraction(alpha), Fraction(lh)
-    if lam is None:
-        lam = min(max(float((4 - a * lh) / 4), LAM_MIN), LAM_MAX)
-    theta = math.nextafter(float(residual_rate(a, Fraction(lam), lh)), 0.0)
-    return _closed_form(MODE_RESIDUAL, alpha, lam, theta, classes,
-                        lambda t: (build_w0(lam, t, alpha), 2.0 * lam / alpha))
+    def rate(lam=lam):
+        if lam is None:
+            lam = min(max(float((4 - a * lh) / 4), LAM_MIN), LAM_MAX)
+        theta = float(residual_rate(a, Fraction(lam), lh))
+        return math.nextafter(theta, 0.0), lam
+    return _closed_form(MODE_RESIDUAL, alpha, classes, rate, lambda t, lam: (
+        build_w0(lam, t, alpha), 2.0 * lam / alpha))
 
 
 def certify_objective_rate(alpha, Lf, Lh):
@@ -290,6 +308,9 @@ def certify_objective_rate(alpha, Lf, Lh):
       lies on an eigenvalue branch, analytic in lam (Rellich), where
       dtheta/dlam = 0 or two branches cross: p and dp/dlam share a root, so
       q(lam) = 0 (lmikit.objective_quintic); lam* is LAM_MIN or such a root.
+    - c0's factor alpha Lh + 2 lam - 4 is rounded once: alpha Lh = h_hi + h_lo
+      exactly, as a float product's rounding error is a float (short of
+      underflow), and fsum rounds h_hi + h_lo + 2 lam - 4 once.
     theta*(lam*) is issued less 2^-42 of itself: it is within a few ulps.
     """
     if not 0 < alpha < math.inf:
@@ -297,23 +318,22 @@ def certify_objective_rate(alpha, Lf, Lh):
     if not (math.isfinite(Lf) and math.isfinite(Lh) and Lf > 0 and Lh > 0):
         raise CertificationError("Lf and Lh must be finite and positive")
     h = Fraction(alpha) * Fraction(Lh)
-    if h >= 4 - 2 * Fraction(LAM_MIN):
+    if h >= _REFUSAL_LINE:
         raise CertificationError(
             "alpha * Lh >= 4 - 2 LAM_MIN: no lam in [LAM_MIN, LAM_MAX] gives "
             "a positive theta (Davis-Yin range lam <= 2 - alpha Lh / 2)")
-    def theta_at(lam):  # p's factor alpha Lh + 2 lam - 4, rounded once
-        line = float(h + 2 * Fraction(lam) - 4)
+    h_hi = float(h)
+    h_lo = float(h - Fraction(h_hi))
+    def theta_at(lam):
+        line = math.fsum((h_hi, h_lo, 2 * lam, -4.0))
         return _smallest_root(*objective_cubic(alpha, Lf, Lh, lam, line)), lam
-    try:
+    def rate():
         theta, lam = max(map(theta_at, [LAM_MIN, *_roots_between(
             objective_quintic(alpha, Lf, Lh), LAM_MIN, 2 - alpha * Lh / 2)]))
-        return _closed_form(
-            MODE_OBJECTIVE, alpha, lam, theta * (1.0 - 2.0 ** -42),
-            _case1_classes(Lh, Lf), lambda t: (
-                build_w1(lam, t, alpha, Lf, Lh),
-                (2 * alpha * lam - t) / alpha ** 2))
-    except OverflowError:  # a float power of the data overflowed
-        raise CertificationError("the closed form overflows at this alpha")
+        return theta * (1.0 - 2.0 ** -42), lam
+    return _closed_form(
+        MODE_OBJECTIVE, alpha, _case1_classes(Lh, Lf), rate, lambda t, lam: (
+            build_w1(lam, t, alpha, Lf, Lh), (2 * alpha * lam - t) / alpha**2))
 
 
 def linear_rate_value(alpha, classes, lam=None,

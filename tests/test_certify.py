@@ -183,10 +183,23 @@ def test_objective_rate_validation():
         certify_objective_rate(0.0, 1.0, 1.0)
     with pytest.raises(CertificationError):
         certify_objective_rate(1.0, math.inf, 1.0)
-    # the closed form's float powers overflow: a refusal, not an error
-    for point in ((1.0, 1e300, 1.0), (1e150, 1.0, 1e-160)):
+    # the closed form's float powers overflow, alpha^2 Lh underflows to a
+    # zero divisor (1e-20) or sigma Q_i overflows in the audit (1e-8): a
+    # refusal, not an error
+    for point in ((1.0, 1e300, 1.0), (1e150, 1.0, 1e-160),
+                  (1e-20, 1.0, 1e-300), (1e-8, 1.0, 1e-300)):
         with pytest.raises(CertificationError, match="overflows"):
             certify_objective_rate(*point)
+
+
+@pytest.mark.parametrize("alpha, lam, lh", [
+    (1e-20, 0.5, 1e-300), (1e100, 1e10, 1.0), (1.0, 1e10, 1e300),
+    (1e300, None, 1e300)])
+def test_residual_rate_refuses_extreme_data(alpha, lam, lh):
+    # sigma Q_i overflows in the audit, or the exact rate or lambda* is
+    # beyond the float range: a refusal, not an error
+    with pytest.raises(CertificationError, match="overflows"):
+        certify_residual_rate(alpha, lam, certify._case1_classes(lh))
 
 
 def test_objective_mode_refuses_a_pinned_lambda(monkeypatch):
@@ -465,6 +478,131 @@ def test_sublinear_certificates_are_exact(monkeypatch):
             _assert_residual_exact(alpha, 1.0, cert)
             issued += 1
     assert issued == 97
+
+
+def _expanded(roots):
+    """The coefficients of prod (x - r), highest power first, in Fraction."""
+    c = [F(1)]
+    for r in roots:
+        c = [a - F(r) * b for a, b in zip(c + [F(0)], [F(0)] + c)]
+    return c
+
+
+def _undecided(coefs, root, reach=128):
+    """The floats nearest root where the float value of the polynomial does
+    not have its exact sign, as an interval around root (root alone if
+    none): no search on float values can place the root better."""
+    lo = hi = root
+    for end in (-math.inf, math.inf):
+        x = root
+        for _ in range(reach):
+            x = math.nextafter(x, end)
+            value = certify._horner(coefs, x)
+            exact = sum(F(c) * F(x) ** k
+                        for k, c in enumerate(reversed(coefs)))
+            if value == 0 or (value > 0) != (exact > 0):
+                lo, hi = min(lo, x), max(hi, x)
+    assert max(root - lo, hi - root) < reach / 2 * math.ulp(root)
+    return lo, hi
+
+
+@pytest.mark.parametrize("roots, lo, hi, found", [
+    ((1 / 8, 1 / 4, 3 / 8, 5 / 8, 7 / 8), 0.0, 1.0, None),
+    # a double root has no sign change
+    ((1 / 2, 1 / 2, 1 / 4), 0.0, 1.0, (1 / 4,)),
+    # a root an ulp or a few inside an end
+    ((1 / 4, 3 / 4, 2), math.nextafter(0.25, 0.0), 1.0, (1 / 4, 3 / 4)),
+    ((1 / 4, 3 / 4, 2), 0.25 - 2 ** -50, 1.0, (1 / 4, 3 / 4)),
+    ((3 / 4, 1 / 4), 0.0, math.nextafter(0.25, 1.0), (1 / 4,)),
+    ((3 / 4, 1 / 4), 0.25, 0.75, ()),
+    ((3 / 8,), 0.0, 1.0, None),
+    ((3 / 8,), 0.5, 1.0, ()),
+], ids=["five", "double", "next-to-lo", "near-lo", "next-to-hi",
+        "on-both-ends", "degree-1", "degree-1-none"])
+def test_roots_between_finds_each_sign_change(roots, lo, hi, found):
+    # every simple root in (lo, hi), each within 2 ulps of the floats at
+    # which the polynomial's float sign is undecided: none for most of
+    # these roots, up to 31 ulps either side of 3/8 in "five"
+    coefs = [float(c) for c in _expanded(roots)]  # exact: dyadic roots
+    assert coefs == _expanded(roots)
+    found = sorted(roots) if found is None else list(found)
+    got = certify._roots_between(coefs, lo, hi)
+    assert len(got) == len(found), got
+    for x, root in zip(got, found):
+        band_lo, band_hi = _undecided(coefs, root)
+        assert band_lo - 2 * math.ulp(root) <= x <= band_hi + \
+            2 * math.ulp(root), (root, x)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 7.0, 1e4])
+def test_smallest_root_keeps_its_relative_accuracy(scale):
+    # three positive roots, the smallest 1e-20 times the others: its exact
+    # value for the float coefficients, to 1e-14 relative; with c0 = 0 the
+    # root 0 is not reported positive
+    for tiny in (1e-20, 3e-20):
+        coefs = [float(c) for c in _expanded(
+            (tiny * scale, scale, 2.5 * scale))]
+        got = certify._smallest_root(*coefs)
+        assert abs(F(got) - _exact_root_near(coefs, tiny * scale)) \
+            <= F(1, 10 ** 14) * F(got), (scale, tiny)
+        assert not certify._smallest_root(*coefs[:3], 0.0) > 0
+
+
+def _exact_root_near(coefs, guess):
+    """The root within 1e-6 relative of guess of the cubic with these float
+    coefficients, by bisection in Fraction to 1e-30 relative."""
+    def at(t):
+        return sum(F(c) * t ** k for k, c in enumerate(reversed(coefs)))
+    a, b = F(guess) * (1 - F(1, 10 ** 6)), F(guess) * (1 + F(1, 10 ** 6))
+    assert at(a) * at(b) < 0
+    while b - a > a / 10 ** 30:
+        mid = (a + b) / 2
+        a, b = (mid, b) if (at(mid) < 0) == (at(a) < 0) else (a, mid)
+    return a
+
+
+def _exact_line(alpha, lh, lam):
+    return float(F(alpha) * F(lh) + 2 * F(lam) - 4)
+
+
+# alpha Lh near 1e-10 with a rounding error, and a subnormal alpha Lh
+LINE_EXTREMES = [(1e150, 1.0, 1e-160), (1e-200, 1.0, 1e-120)]
+
+
+def test_objective_line_is_rounded_once(monkeypatch):
+    # alpha Lh + 2 lam - 4 from h_hi + h_lo and fsum is bitwise the Fraction
+    # value rounded once: at LAM_MIN, lam_R, the float below lam_R and a
+    # random lam at every seed 0-3 surface point, the extremes and the last
+    # float alpha below the refusal line, and at every lam the producer
+    # itself passes to the cubic there
+    from perfbench import workloads
+    points = [p for seed in (0, 1, 2, 3)
+              for p in workloads.ObjectiveSurface(seed).points] \
+        + LINE_EXTREMES \
+        + [(math.nextafter(_first_refused(3.0), 0.0), 2.0, 3.0)]
+    rng = np.random.default_rng(0)
+    for alpha, _, lh in points:
+        h = F(alpha) * F(lh)
+        h_hi = float(h)
+        h_lo = float(h - F(h_hi))
+        lam_r = 2 - alpha * lh / 2
+        for lam in (certify.LAM_MIN, lam_r, math.nextafter(lam_r, 0.0),
+                    float(rng.uniform(certify.LAM_MIN, 2.0))):
+            line = math.fsum((h_hi, h_lo, 2 * lam, -4.0))
+            assert line == _exact_line(alpha, lh, lam), (alpha, lh, lam)
+    seen = []
+    cubic = certify.objective_cubic
+
+    def recorded(alpha, lf, lh, lam, line):
+        seen.append(line == _exact_line(alpha, lh, lam))
+        return cubic(alpha, lf, lh, lam, line)
+    monkeypatch.setattr(certify, "objective_cubic", recorded)
+    for point in points:
+        try:
+            certify_objective_rate(*point)
+        except CertificationError:
+            pass
+    assert len(seen) > 1112 and all(seen)
 
 
 def test_linear_rate_point():

@@ -23,14 +23,15 @@ LMI with each multiplier's sign as a diagonal row of its own, its margin
 taken over the whole block. The objective and residual producers solve in
 closed form, so the `objective-surface` and `residual-grid` sections record
 rates and no solve; `objective-refusals` still solves its 200 programs.
-For each solve it writes the
-status, the bytes of y, the iteration count, the audit slack, the
-objective and the residuals pres, dres and gap. For each operation it
-writes the rates issued (None for a refusal); an `sdpcore-cases`
-operation issues its optimal value or margin. Its `lqr-demo` section runs
-the benchmark's `lqr-demo` operations at seed 0, one trace per default
-lambda, and writes the sha256 of the bytes of the trace's x_B, x_A, z,
-residual_norm2 and objective and of its CSV file.
+For each solve it writes the status, the bytes of y, the iteration count,
+the audit slack, the objective and the residuals pres, dres and gap. For
+each operation it writes the rates issued (None for a refusal) and, in
+`objective-surface` and `residual-grid`, the lambda of each certificate
+beside its theta; an `sdpcore-cases` operation issues its optimal value
+or margin. Its `lqr-demo` section runs the benchmark's `lqr-demo`
+operations at seed 0, one trace per default lambda, and writes the sha256
+of the bytes of the trace's x_B, x_A, z, residual_norm2 and objective and
+of its CSV file.
 
 `diff` matches solves by section, operation and order within the
 operation, and prints, per section and in total: how many are identical,
@@ -40,11 +41,15 @@ moved shows apart from a slack or a residual), each status
 transition, the total iterations, the undecided solves (`maxIterations`
 and `numericalFailure`) of each side, the certificates issued and the
 largest change in an issued rate, absolute and relative to the first
-record's rate. Solves missing at operations that refuse on both sides
+record's rate. It counts the operations whose issued rates differ in
+their bits, those that issue on one side and refuse on the other, and
+those whose lambda differs in its bits, with the largest relative change
+in lambda. Solves missing at operations that refuse on both sides
 are counted apart from the other solves or operations without a
 counterpart. It counts the identical and the differing `lqr-demo`
-traces apart, naming the fields that differ. It exits 1 when any solve
-or trace differs or has no counterpart.
+traces apart, naming the fields that differ. It exits 1 when any solve,
+issued rate, lambda or trace differs or has no counterpart, so a change
+that moves a closed-form rate, which makes no solve, fails it too.
 
 To compare two commits, copy this file into a checkout of each and run
 `dump` there. A tree whose `LinearSdp` still takes sign flags dumps with
@@ -78,13 +83,14 @@ def _sections():
     """(name, operations, rates) for every section.
 
     The operations are zero-argument callables; rates maps an operation's
-    outcome to the rates it issued, None where it refused.
+    outcome to the rates it issued, None where it refused, and for the
+    sublinear sections to (rates, lams), each theta's lambda beside it.
     """
     from perfbench import workloads
     from toscert import certify
 
     def theta(cert):
-        return [None if cert is None else cert.theta]
+        return ([None], [None]) if cert is None else ([cert.theta], [cert.lam])
 
     for seed in SURFACE_SEEDS:
         yield (f"objective-surface/{seed}",
@@ -106,6 +112,10 @@ def _sections():
     yield ("linear-near-equal", list(_near_equal_operations()),
            lambda certs: [None if c is None else c.rho2 for c in certs])
     yield ("sdpcore-cases", list(_sdpcore_cases()), lambda value: [value])
+
+
+def _hex(values):
+    return [None if v is None else float(v).hex() for v in values]
 
 
 def _refusal_operations():
@@ -231,9 +241,11 @@ def dump(out):
         for op in ops:
             del solves[:]
             issued = rates(op())
-            rows.append({"rates": [None if r is None else float(r).hex()
-                                   for r in issued],
-                         "solves": list(solves)})
+            row = {"solves": list(solves)}
+            if isinstance(issued, tuple):
+                issued, row["lams"] = issued[0], _hex(issued[1])
+            row["rates"] = _hex(issued)
+            rows.append(row)
         record[name] = rows
         print(f"{name}: {len(rows)} operations, "
               f"{sum(len(r['solves']) for r in rows)} solves", flush=True)
@@ -241,6 +253,16 @@ def dump(out):
     print(f"{LQR_SECTION}: {len(record[LQR_SECTION])} traces", flush=True)
     with open(out, "w") as fh:
         json.dump(record, fh)
+
+
+def _change(a, b):
+    """The absolute and relative change from hex rate a to b; inf between an
+    issued rate and a refusal (None)."""
+    if a is None or b is None:
+        return (0.0, 0.0) if a == b else (math.inf, math.inf)
+    a, b = float.fromhex(a), float.fromhex(b)
+    change = abs(a - b)
+    return change, change / abs(a) if a else (0.0 if a == b else math.inf)
 
 
 def _compare(rows_a, rows_b, total):
@@ -271,15 +293,21 @@ def _compare(rows_a, rows_b, total):
                 count["iters_" + side] += sol["iterations"]
                 count["undecided_" + side] += sol["status"] in UNDECIDED
             count["issued_" + side] += sum(r is not None for r in row["rates"])
-        for a, b in zip(ra["rates"], rb["rates"]):
-            if a is not None and b is not None:
-                a, b = float.fromhex(a), float.fromhex(b)
-                change = abs(a - b)
-                rel = change / abs(a) if a else (0.0 if a == b else math.inf)
-            else:
-                change = rel = 0.0 if a == b else math.inf
+        pairs = list(zip(ra["rates"], rb["rates"]))
+        count["rate_flips"] += any((a is None) != (b is None)
+                                   for a, b in pairs)
+        count["rate_bits"] += any(a != b for a, b in pairs
+                                  if a is not None and b is not None)
+        for a, b in pairs:
+            change, rel = _change(a, b)
             count["worst"] = max(count["worst"], change)
             count["worst_rel"] = max(count["worst_rel"], rel)
+        lams = [(a, b) for a, b in zip(ra.get("lams", []), rb.get("lams", []))
+                if a is not None and b is not None]
+        count["lam_bits"] += any(a != b for a, b in lams)
+        for a, b in lams:
+            count["worst_lam_rel"] = max(count["worst_lam_rel"],
+                                         _change(a, b)[1])
     count["moves"] = len(moves)
     count["unmatched"] = unmatched
     for key, value in count.items():
@@ -300,6 +328,11 @@ def _report(name, c):
     if c["bits"]:
         print("    of these, differing in " + ", ".join(
             f"{key} {c['bits_' + key]}" for key in SOLVE_FIELDS))
+    if c["rate_bits"] or c["rate_flips"] or c["lam_bits"]:
+        print(f"    issued rates differ in bits at {c['rate_bits']} "
+              f"operations and flip between issued and refused at "
+              f"{c['rate_flips']}; lambda differs in bits at "
+              f"{c['lam_bits']} ({c['worst_lam_rel']:.3g} relative at most)")
     if c["dropped"]:
         print(f"    {c['dropped']} solves missing at operations that refuse "
               f"on both sides")
@@ -348,7 +381,8 @@ def diff(path_a, path_b):
                   f"{sa['iterations']} -> {sb['status']} in "
                   f"{sb['iterations']} iterations")
         clean = clean and not (count["bits"] or moves or count["unmatched"]
-                               or count["dropped"])
+                               or count["dropped"] or count["rate_bits"]
+                               or count["rate_flips"] or count["lam_bits"])
     _report("total", total)
     return 0 if clean else 1
 
