@@ -5,6 +5,7 @@ linear rate (the Schur-extended W2 program, solved by sdpcore) and its dual
 cross-check; stepsize sweeps, and empirical Lyapunov validation on traces.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -23,7 +24,8 @@ from .lmikit import (RATE_E, RELAX_LIN, RegularityClass, build_dual_data,
 
 LAM_MIN = 1e-6
 LAM_MAX = 4.0
-_REFUSAL_LINE = 4 - 2 * Fraction(LAM_MIN)  # alpha Lh at or above it: refused
+# alpha Lh at or above 4 - 2 LAM_MIN is refused: the line as an integer ratio
+_REFUSAL_NUM, _REFUSAL_DEN = (4 - 2 * Fraction(LAM_MIN)).as_integer_ratio()
 
 MODE_RESIDUAL = "sublinearResidual"
 MODE_OBJECTIVE = "sublinearObjective"
@@ -101,7 +103,7 @@ def check_assumption1(classes):
 
 
 def _qc_mats(alpha, classes):
-    return list(build_qc_triplet(alpha, classes.f, classes.g, classes.h))
+    return build_qc_triplet(alpha, classes.f, classes.g, classes.h)
 
 
 def _face(alpha, classes, g=None):
@@ -129,6 +131,7 @@ def symbolic_sublinear(lam, Lh):
     return replace(cert, provenance="symbolic")
 
 
+@functools.lru_cache(maxsize=256)
 def _case1_classes(Lh, Lf=math.inf):
     return ProblemClasses(RegularityClass(0.0, Lf),
                           RegularityClass(0.0, math.inf),
@@ -199,22 +202,36 @@ def _horner(coefs, x):
     return value
 
 
+def _horner_slope(coefs, x):
+    """The value and the derivative of a polynomial at x in one Horner pass;
+    the value is bitwise _horner's."""
+    value = slope = 0.0
+    for c in coefs:
+        slope = slope * x + value
+        value = value * x + c
+    return value, slope
+
+
 def _roots_between(coefs, lo, hi):
     """The roots in (lo, hi) where a polynomial (highest power first) changes
-    sign; one at most lies between two of its derivative's. Newton, kept in
-    each bracket [a, b] whose ends differ in sign (rtsafe): x replaces the end
-    of its sign, so the root stays in [a, b], and a step that leaves (a, b)
-    or is not half the one two before bisects. A step below 4 ulps ends it."""
+    sign; one at most lies between two of its derivative's, and degree 1 is
+    solved outright. Newton, kept in each bracket [a, b] whose ends differ in
+    sign (rtsafe): x replaces the end of its sign, so the root stays in
+    [a, b], and a step that leaves (a, b) or is not half the one two before
+    bisects. A step below 4 ulps ends it."""
     n = len(coefs) - 1
+    if n == 1:
+        x = -coefs[1] / coefs[0]
+        return [x] if lo < x < hi else []
     slope = [c * (n - i) for i, c in enumerate(coefs[:-1])]
-    ends = [lo, *(_roots_between(slope, lo, hi) if n > 1 else []), hi]
+    ends = [lo, *_roots_between(slope, lo, hi), hi]
+    values = [_horner(coefs, x) for x in ends]
     roots = []
-    for a, b in zip(ends, ends[1:]):
-        fa = _horner(coefs, a)
-        if fa * _horner(coefs, b) < 0:
+    for a, b, fa, fb in zip(ends, ends[1:], values, values[1:]):
+        if fa * fb < 0:
             x, last, older = 0.5 * (a + b), b - a, b - a
             while a < x < b and last > 4 * math.ulp(x):
-                fx, d = _horner(coefs, x), _horner(slope, x)
+                fx, d = _horner_slope(coefs, x)
                 a, b = (x, b) if (fx < 0) == (fa < 0) else (a, x)
                 step = fx / d if d else math.inf
                 if step and not (a < x - step < b and 2 * abs(step) <= older):
@@ -291,6 +308,23 @@ def certify_residual_rate(alpha, lam, classes):
         build_w0(lam, t, alpha), 2.0 * lam / alpha))
 
 
+def _split_below_line(alpha, Lh):
+    """(h_hi, h_lo), each rounded once, with alpha Lh = h_hi + h_lo exactly;
+    refused at or above alpha Lh = 4 - 2 LAM_MIN. Exact in integers, from
+    the floats' integer ratios: Python's int true division rounds correctly.
+    """
+    (a_num, a_den), (l_num, l_den) = (alpha.as_integer_ratio(),
+                                      Lh.as_integer_ratio())
+    num, den = a_num * l_num, a_den * l_den  # alpha Lh = num / den
+    if num * _REFUSAL_DEN >= _REFUSAL_NUM * den:
+        raise CertificationError(
+            "alpha * Lh >= 4 - 2 LAM_MIN: no lam in [LAM_MIN, LAM_MAX] gives "
+            "a positive theta (Davis-Yin range lam <= 2 - alpha Lh / 2)")
+    h_hi = num / den
+    hi_num, hi_den = h_hi.as_integer_ratio()
+    return h_hi, (num * hi_den - hi_num * den) / (den * hi_den)
+
+
 def certify_objective_rate(alpha, Lf, Lh):
     """Maximal theta for the objective-value rate over lam in [LAM_MIN,
     LAM_MAX], in closed form; f and h are smooth (L = Lf, Lh), g nonsmooth
@@ -308,22 +342,17 @@ def certify_objective_rate(alpha, Lf, Lh):
       lies on an eigenvalue branch, analytic in lam (Rellich), where
       dtheta/dlam = 0 or two branches cross: p and dp/dlam share a root, so
       q(lam) = 0 (lmikit.objective_quintic); lam* is LAM_MIN or such a root.
-    - c0's factor alpha Lh + 2 lam - 4 is rounded once: alpha Lh = h_hi + h_lo
-      exactly, as a float product's rounding error is a float (short of
-      underflow), and fsum rounds h_hi + h_lo + 2 lam - 4 once.
+    - The refusal test is exact, and c0's factor alpha Lh + 2 lam - 4 is
+      rounded once: _split_below_line gives alpha Lh = h_hi + h_lo exactly,
+      in integer arithmetic (a float product's rounding error is a float,
+      short of underflow), and fsum rounds h_hi + h_lo + 2 lam - 4 once.
     theta*(lam*) is issued less 2^-42 of itself: it is within a few ulps.
     """
     if not 0 < alpha < math.inf:
         raise CertificationError("alpha must be positive and finite")
     if not (math.isfinite(Lf) and math.isfinite(Lh) and Lf > 0 and Lh > 0):
         raise CertificationError("Lf and Lh must be finite and positive")
-    h = Fraction(alpha) * Fraction(Lh)
-    if h >= _REFUSAL_LINE:
-        raise CertificationError(
-            "alpha * Lh >= 4 - 2 LAM_MIN: no lam in [LAM_MIN, LAM_MAX] gives "
-            "a positive theta (Davis-Yin range lam <= 2 - alpha Lh / 2)")
-    h_hi = float(h)
-    h_lo = float(h - Fraction(h_hi))
+    h_hi, h_lo = _split_below_line(alpha, Lh)
     def theta_at(lam):
         line = math.fsum((h_hi, h_lo, 2 * lam, -4.0))
         return _smallest_root(*objective_cubic(alpha, Lf, Lh, lam, line)), lam
@@ -351,7 +380,11 @@ def linear_rate_value(alpha, classes, lam=None,
         raise CertificationError("alpha must be positive")
     if not check_assumption1(classes):
         raise CertificationError("assumption1 violated")
-    prob, unpack = _rate_program(1.0, RATE_E, -RATE_E, alpha, classes, lam)
+    try:
+        prob, unpack = _rate_program(1.0, RATE_E, -RATE_E, alpha, classes,
+                                     lam)
+    except ValueError:  # LinearSdp: alpha^2 overflowed in the Q_i
+        raise CertificationError("linear-rate program overflows here")
     sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
     return (*unpack(sol), sol.status)
 
@@ -384,7 +417,8 @@ def certify_linear_rate(alpha, classes, lam=None,
     """Linear-rate certificate rho2 < 1, jointly over lam unless pinned.
 
     Refused when the program is infeasible, when 1 - rho2 is not above
-    feas_tol, or when the audit margin of the rebuilt LMI exceeds feas_tol.
+    feas_tol, when the audit margin of the rebuilt LMI exceeds feas_tol,
+    or when alpha^2 overflows the Q_i.
     """
     if lam is not None and not lam > 0:
         raise CertificationError("lam must be positive")
@@ -417,6 +451,8 @@ def dual_linear_rate(alpha, lam, classes, feas_tol=sdpcore.DEFAULT_FEAS_TOL,
     the scalar QC inequalities. The G^T Q_i G of a class with m == L is
     -(1/2m) (G^T s_i)(G^T s_i)^T, so tr(G^T Q_i G Z) >= 0 forces Z onto the
     face orthogonal to G^T s_i (_face with g = G); it is eliminated up front.
+    Refused when the program is infeasible, or when alpha^2 overflows the
+    Q_i or the solve's audit slack.
     """
     if not check_assumption1(classes):
         raise CertificationError("assumption1 violated")
@@ -452,10 +488,15 @@ def dual_linear_rate(alpha, lam, classes, feas_tol=sdpcore.DEFAULT_FEAS_TOL,
     f0 = emb(z0)
     fs = [emb(b) for b in basis]
     c = np.array([-np.trace(pr @ b) for b in basis])
-    prob = sdpcore.LinearSdp(c, f0, tuple(fs))
+    try:
+        prob = sdpcore.LinearSdp(c, f0, tuple(fs))
+    except ValueError:  # alpha^2 overflowed in the Q_i
+        raise CertificationError("dual program overflows here")
     sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
     if sol.status == sdpcore.STATUS_INFEASIBLE:
         raise CertificationError("dual program infeasible")
+    if math.isinf(sol.slack):  # its audit overflowed
+        raise CertificationError("dual program overflows here")
     zred = z0 + sum(yk * b for yk, b in zip(sol.y, basis))
     val = float(np.trace(pr @ zred))
     if return_z:

@@ -53,20 +53,23 @@ def sym_check(m):
         raise ValueError("matrix must be square")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    if not np.array_equal(m, m.T):
+    if not (m == m.T).all():
         m = 0.5 * (m + m.T)
     return m
 
 
-def qc_base(cls):
-    """The 2x2 quadratic-constraint matrix Q(m, L).
-
-    Entries -mL/(m+L), 1/2, -1/(m+L); for infinite L the limits -m and 0.
-    """
+def _qc_entries(cls):
+    """Q(m, L) row by row: -mL/(m+L), 1/2, 1/2, -1/(m+L); for infinite L
+    the limits -m and 0."""
     m, L = cls.m, cls.L
     if math.isinf(L):
-        return np.array([[-m, 0.5], [0.5, 0.0]])
-    return np.array([[-m * L / (m + L), 0.5], [0.5, -1.0 / (m + L)]])
+        return [-m, 0.5, 0.5, 0.0]
+    return [-m * L / (m + L), 0.5, 0.5, -1.0 / (m + L)]
+
+
+def qc_base(cls):
+    """The 2x2 quadratic-constraint matrix Q(m, L), entries _qc_entries."""
+    return np.array(_qc_entries(cls)).reshape(2, 2)
 
 
 def _selectors(alpha):
@@ -76,19 +79,25 @@ def _selectors(alpha):
     return s1, s2, s3
 
 
+# _selectors(alpha) stacked, as _SELECT + alpha _SELECT_ALPHA: the same floats
+_SELECT = np.array(_selectors(0.0))
+_SELECT_ALPHA = np.array(_selectors(1.0)) - _SELECT
+
+
 def build_qc_triplet(alpha, f, g, h):
     """The three sandwiched constraint matrices (Q1 for g, Q2 for h, Q3 for f).
 
     Each is S^T Q(m, L) S for the selector S picking the right deviation
-    combination out of v = (x_B - x_B*, y - y*, x_A - x_A*, z - z*).
+    combination out of v = (x_B - x_B*, y - y*, x_A - x_A*, z - z*). All
+    three come from one batched product (S^T Q) S of the (3, 2, 4) selector
+    stack, returned as a (3, 4, 4) array; bitwise the three products alone.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    s1, s2, s3 = _selectors(alpha)
-    q1 = s1.T @ qc_base(g) @ s1
-    q2 = s2.T @ qc_base(h) @ s2
-    q3 = s3.T @ qc_base(f) @ s3
-    return q1, q2, q3
+    s = _SELECT + alpha * _SELECT_ALPHA
+    q = np.array(_qc_entries(g) + _qc_entries(h) + _qc_entries(f))
+    q = q.reshape(3, 2, 2)
+    return s.transpose(0, 2, 1) @ q @ s
 
 
 def nsd_directions(alpha, f, g, h):

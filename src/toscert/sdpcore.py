@@ -292,10 +292,10 @@ def solve_sdp(problem, feas_tol=DEFAULT_FEAS_TOL, gap_tol=DEFAULT_GAP_TOL,
     One IPM run decides the status: `optimal` when it converges and the
     audit passes, `infeasible` when its primal iterate, projected onto the
     null space of the constraints, is a Farkas ray for the LMI,
-    `numericalFailure` when its Newton system breaks down, and
-    `maxIterations` otherwise. A ray rules out each y of equilibrated
-    1-norm up to a bound that only rounding sets, and at least 1e4 (see
-    the module docstring).
+    `numericalFailure` when its Newton system breaks down or F(y) overflows
+    the float range (slack inf), and `maxIterations` otherwise. A ray rules
+    out each y of equilibrated 1-norm up to a bound that only rounding
+    sets, and at least 1e4 (see the module docstring).
     """
     check_options(feas_tol, gap_tol, max_iter)
     if problem.nvars == 0:
@@ -305,7 +305,10 @@ def solve_sdp(problem, feas_tol=DEFAULT_FEAS_TOL, gap_tol=DEFAULT_GAP_TOL,
     y, iters, pres, dres, gap, tag = _ipm(
         problem.objective, problem.f0, problem.fi, feas_tol, gap_tol,
         max_iter)
-    slack = _audit_slack(problem.f0, problem.fi, y)
+    try:
+        slack = _audit_slack(problem.f0, problem.fi, y)
+    except ValueError:  # max_eig: F(y) overflows the float range
+        slack, tag = math.inf, STATUS_NUMERICAL_FAILURE
     obj = float(problem.objective @ y)
     if tag == "converged" and slack <= feas_tol:
         status = STATUS_OPTIMAL

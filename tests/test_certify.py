@@ -202,6 +202,20 @@ def test_residual_rate_refuses_extreme_data(alpha, lam, lh):
         certify_residual_rate(alpha, lam, certify._case1_classes(lh))
 
 
+@pytest.mark.parametrize("producer, alpha", [
+    ("dual", 1e154), ("dual", 1e160), ("dual", 1e200), ("certify", 1e160),
+    ("certify", 1e200), ("value", 1e160), ("value", 1e200)])
+def test_linear_path_refuses_data_beyond_the_float_range(producer, alpha):
+    # alpha^2 overflows in the Q_i (1e160 and up), or the dual program's
+    # audit slack overflows (1e154): a refusal, not a ValueError
+    call = {"dual": lambda: dual_linear_rate(alpha, 0.5, STRONG_G),
+            "certify": lambda: certify_linear_rate(alpha, STRONG_G),
+            "value": lambda: linear_rate_value(alpha, STRONG_G)}[producer]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(CertificationError, match="overflows"):
+            call()
+
+
 def test_objective_mode_refuses_a_pinned_lambda(monkeypatch):
     # the objective producer optimizes lambda; a pinned one is not dropped
     statuses = _counted_solves(monkeypatch)
@@ -603,6 +617,46 @@ def test_objective_line_is_rounded_once(monkeypatch):
         except CertificationError:
             pass
     assert len(seen) > 1112 and all(seen)
+
+
+def test_objective_refusal_and_split_are_exact():
+    # the integer refusal test and (h_hi, h_lo) bitwise against Fraction:
+    # at every seed 0-3 surface point, the extremes, the last float alpha
+    # below the refusal line and the first at or above it, and a product
+    # beyond the float range, which is refused
+    from perfbench import workloads
+    bound = 4 - 2 * F(certify.LAM_MIN)
+    points = [(p[0], p[2]) for seed in (0, 1, 2, 3)
+              for p in workloads.ObjectiveSurface(seed).points] \
+        + [(p[0], p[2]) for p in LINE_EXTREMES] \
+        + [(a, lh) for lh in (0.7, 3.0, 10.0, 30.0)
+           for a in (math.nextafter(_first_refused(lh), 0.0),
+                     _first_refused(lh))] \
+        + [(1e200, 1e200)]
+    refused = 0
+    for alpha, lh in points:
+        h = F(alpha) * F(lh)
+        if h >= bound:
+            with pytest.raises(CertificationError, match="4 - 2 LAM_MIN"):
+                certify._split_below_line(alpha, lh)
+            refused += 1
+            continue
+        h_hi = float(h)
+        got = certify._split_below_line(alpha, lh)
+        assert [x.hex() for x in got] == [h_hi.hex(), float(h - F(h_hi)).hex()]
+    assert refused == 1920 - 1112 + 4 + 1
+
+
+def test_objective_rate_builds_no_fraction(monkeypatch):
+    # the objective producer's refusal and split are integer arithmetic
+    from perfbench import workloads
+
+    def banned(*args):
+        raise AssertionError("Fraction built")
+    monkeypatch.setattr(certify, "Fraction", banned)
+    issued = [workloads._certify_or_none(certify_objective_rate, *p)
+              for p in workloads.ObjectiveSurface(0).points]
+    assert sum(c is not None for c in issued) == 280
 
 
 def test_linear_rate_point():

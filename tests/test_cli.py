@@ -97,10 +97,12 @@ RESIDUAL_DOC = {
     dict(OBJECTIVE_DOC, alpha=1e-20, h={"m": 0, "L": 1e-300}),
     dict(RESIDUAL_DOC, alpha=1e-20, h={"m": 0, "L": 1e-300},
          **{"lambda": 0.5}),
-], ids=["objective", "residual"])
+    dict(LINEAR_DOC, alpha=1e200),
+], ids=["objective", "residual", "linear"])
 def test_certify_refuses_data_beyond_the_float_range(tmp_path, doc):
-    # alpha^2 L_h underflows to a zero divisor (objective) or sigma Q_i
-    # overflows in the audit (residual): a refusal, not a traceback
+    # alpha^2 L_h underflows to a zero divisor (objective), sigma Q_i
+    # overflows in the audit (residual) or alpha^2 overflows in the Q_i
+    # (linear): a refusal, not a traceback
     inp = _write(tmp_path / "in.json", doc)
     out = str(tmp_path / "err.json")
     assert cli.main(["certify", inp, "--out", out]) == cli.EXIT_INFEASIBLE

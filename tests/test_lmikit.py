@@ -1,6 +1,8 @@
 """Tests for the quadratic-constraint and LMI building blocks."""
 
 import math
+import os
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,8 @@ from toscert.lmikit import (KRON_DIM_CAP, RELAX_LIN, RELAX_P,
                             schur_extend, sym_check, w1_slope)
 from face_programs import FACE_FOLD, face_sigma
 from test_sdpcore import _exact_pd
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 
 def test_regularity_class_validation():
@@ -77,6 +81,33 @@ def test_build_qc_triplet_shapes():
     for q in build_qc_triplet(0.3, f, g, h):
         assert q.shape == (4, 4)
         assert np.allclose(q, q.T)
+
+
+def _sandwiches(alpha, f, g, h):
+    """The reference: S_i^T Q(m, L) S_i, one product per class."""
+    return [s.T @ qc_base(c) @ s
+            for s, c in zip(lmikit._selectors(alpha), (g, h, f))]
+
+
+def test_batched_triplet_is_the_sandwiches_bit_for_bit():
+    # the six class sets of the linear-duality workload and case-1 classes
+    # of the objective rate, each at its 25 grid stepsizes and at 2,000
+    # log-uniform ones in [1e-9, 1e9]. (S^T Q) S and S^T (Q S) agree in bits
+    # here, Q being symmetric, but a product that sums S^T Q S's four terms
+    # at once (einsum) or expands alpha^2 differs at most stepsizes
+    from perfbench import workloads
+    sets = [(tuple(RegularityClass(*c) for c in classes), span)
+            for classes, span in workloads.LINEAR_SETS.values()]
+    case1 = (RegularityClass(0.0, 3.0), RegularityClass(0.0, math.inf),
+             RegularityClass(0.0, 10.0))
+    sets.append((case1, workloads.SURFACE_ALPHAS[:2]))
+    rng = np.random.default_rng(0)
+    wide = [float(a) for a in 10.0 ** rng.uniform(-9.0, 9.0, 2000)]
+    for (f, g, h), (lo, hi) in sets:
+        for alpha in [float(a) for a in np.geomspace(lo, hi, 25)] + wide:
+            got = build_qc_triplet(alpha, f, g, h)
+            assert [q.tobytes() for q in got] == [
+                q.tobytes() for q in _sandwiches(alpha, f, g, h)], alpha
 
 
 def test_face_sigma_is_exact_in_fractions():

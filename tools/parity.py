@@ -25,13 +25,14 @@ closed form, so the `objective-surface` and `residual-grid` sections record
 rates and no solve; `objective-refusals` still solves its 200 programs.
 For each solve it writes the status, the bytes of y, the iteration count,
 the audit slack, the objective and the residuals pres, dres and gap. For
-each operation it writes the rates issued (None for a refusal) and, in
-`objective-surface` and `residual-grid`, the lambda of each certificate
-beside its theta; an `sdpcore-cases` operation issues its optimal value
-or margin. Its `lqr-demo` section runs the benchmark's `lqr-demo`
-operations at seed 0, one trace per default lambda, and writes the sha256
-of the bytes of the trace's x_B, x_A, z, residual_norm2 and objective and
-of its CSV file.
+each operation it writes the rates issued (None for a refusal) and,
+beside each certificate's rate in every section, its lambda and its audit
+margin; an `objective-refusals` operation issues the theta of its solve
+and an `sdpcore-cases` operation its optimal value or margin, with no
+lambda or audit margin. Its `lqr-demo` section runs the benchmark's
+`lqr-demo` operations at seed 0, one trace per default lambda, and writes
+the sha256 of the bytes of the trace's x_B, x_A, z, residual_norm2 and
+objective and of its CSV file.
 
 `diff` matches solves by section, operation and order within the
 operation, and prints, per section and in total: how many are identical,
@@ -44,12 +45,14 @@ largest change in an issued rate, absolute and relative to the first
 record's rate. It counts the operations whose issued rates differ in
 their bits, those that issue on one side and refuse on the other, and
 those whose lambda differs in its bits, with the largest relative change
-in lambda. Solves missing at operations that refuse on both sides
-are counted apart from the other solves or operations without a
-counterpart. It counts the identical and the differing `lqr-demo`
+in lambda, and the audit margins that differ in their bits, with the
+largest absolute change. Solves missing at operations that refuse on
+both sides are counted apart from the other solves or operations
+without a counterpart. It counts the identical and the differing `lqr-demo`
 traces apart, naming the fields that differ. It exits 1 when any solve,
-issued rate, lambda or trace differs or has no counterpart, so a change
-that moves a closed-form rate, which makes no solve, fails it too.
+issued rate, lambda, audit margin or trace differs or has no
+counterpart, so a change that moves a closed-form rate or its audit,
+which make no solve, fails it too.
 
 To compare two commits, copy this file into a checkout of each and run
 `dump` there. A tree whose `LinearSdp` still takes sign flags dumps with
@@ -80,27 +83,23 @@ SOLVE_FIELDS = ("y", "iterations", "slack", "objective", "pres", "dres",
 
 
 def _sections():
-    """(name, operations, rates) for every section.
+    """(name, operations, issued) for every section.
 
-    The operations are zero-argument callables; rates maps an operation's
-    outcome to the rates it issued, None where it refused, and for the
-    sublinear sections to (rates, lams), each theta's lambda beside it.
+    The operations are zero-argument callables; issued maps an operation's
+    outcome to what it issued: certificates, None where it refused, or plain
+    values in the sections that issue no certificate.
     """
     from perfbench import workloads
     from toscert import certify
 
-    def theta(cert):
-        return ([None], [None]) if cert is None else ([cert.theta], [cert.lam])
-
     for seed in SURFACE_SEEDS:
         yield (f"objective-surface/{seed}",
                workloads.ObjectiveSurface(seed).operations(),
-               lambda outcome: theta(outcome[1]))
+               lambda outcome: [outcome[1]])
     yield ("objective-refusals", list(_refusal_operations()),
            lambda value: [value])
     yield ("linear-duality/0", workloads.LinearDuality(0).operations(),
-           lambda outcome: [None if c is None else c.rho2
-                            for c in (outcome["joint"], outcome["pinned"])])
+           lambda outcome: [outcome["joint"], outcome["pinned"]])
     case1 = certify._case1_classes(1.0)
     alphas = workloads.seeded_grid(*workloads.SURFACE_ALPHAS, 0)
 
@@ -108,9 +107,8 @@ def _sections():
         return lambda: workloads._certify_or_none(
             certify.certify_residual_rate, alpha, lam, case1)
     yield ("residual-grid", [residual(a, lam) for lam in RESIDUAL_LAMBDAS
-                             for a in alphas], theta)
-    yield ("linear-near-equal", list(_near_equal_operations()),
-           lambda certs: [None if c is None else c.rho2 for c in certs])
+                             for a in alphas], lambda cert: [cert])
+    yield ("linear-near-equal", list(_near_equal_operations()), list)
     yield ("sdpcore-cases", list(_sdpcore_cases()), lambda value: [value])
 
 
@@ -220,7 +218,7 @@ def _lqr_traces():
 def dump(out):
     sys.path[:0] = [os.path.join(ROOT, "src"), ROOT,
                     os.path.join(ROOT, "tests")]
-    from toscert import sdpcore
+    from toscert import certify, sdpcore
 
     solves = []
     solve = sdpcore.solve_sdp
@@ -236,16 +234,19 @@ def dump(out):
 
     sdpcore.solve_sdp = recorded
     record = {}
-    for name, ops, rates in _sections():
+    for name, ops, issued_by in _sections():
         rows = []
         for op in ops:
             del solves[:]
-            issued = rates(op())
-            row = {"solves": list(solves)}
-            if isinstance(issued, tuple):
-                issued, row["lams"] = issued[0], _hex(issued[1])
-            row["rates"] = _hex(issued)
-            rows.append(row)
+            issued = issued_by(op())
+            certs = [x if isinstance(x, certify.RateCertificate) else None
+                     for x in issued]
+            rows.append({
+                "solves": list(solves),
+                "rates": _hex(x.rate() if c else x
+                              for x, c in zip(issued, certs)),
+                "lams": _hex(c and c.lam for c in certs),
+                "margins": _hex(c and c.margin for c in certs)})
         record[name] = rows
         print(f"{name}: {len(rows)} operations, "
               f"{sum(len(r['solves']) for r in rows)} solves", flush=True)
@@ -308,6 +309,11 @@ def _compare(rows_a, rows_b, total):
         for a, b in lams:
             count["worst_lam_rel"] = max(count["worst_lam_rel"],
                                          _change(a, b)[1])
+        for a, b in zip(ra.get("margins", []), rb.get("margins", [])):
+            if a is not None and b is not None and a != b:
+                count["margin_bits"] += 1
+                count["worst_margin"] = max(count["worst_margin"],
+                                            _change(a, b)[0])
     count["moves"] = len(moves)
     count["unmatched"] = unmatched
     for key, value in count.items():
@@ -333,6 +339,9 @@ def _report(name, c):
               f"operations and flip between issued and refused at "
               f"{c['rate_flips']}; lambda differs in bits at "
               f"{c['lam_bits']} ({c['worst_lam_rel']:.3g} relative at most)")
+    if c["margin_bits"]:
+        print(f"    audit margins differ in bits at {c['margin_bits']} "
+              f"certificates (largest change {c['worst_margin']:.3g})")
     if c["dropped"]:
         print(f"    {c['dropped']} solves missing at operations that refuse "
               f"on both sides")
@@ -382,7 +391,8 @@ def diff(path_a, path_b):
                   f"{sb['iterations']} iterations")
         clean = clean and not (count["bits"] or moves or count["unmatched"]
                                or count["dropped"] or count["rate_bits"]
-                               or count["rate_flips"] or count["lam_bits"])
+                               or count["rate_flips"] or count["lam_bits"]
+                               or count["margin_bits"])
     _report("total", total)
     return 0 if clean else 1
 
