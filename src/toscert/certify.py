@@ -102,10 +102,6 @@ def check_assumption1(classes):
     return m_sum > 0 and inv > 0 and h_ok
 
 
-def _qc_mats(alpha, classes):
-    return build_qc_triplet(alpha, classes.f, classes.g, classes.h)
-
-
 def _face(alpha, classes, g=None):
     """Kept indices and orthonormal columns U of the face sigma_i = inf leaves.
 
@@ -145,54 +141,30 @@ def _bordered(a):
     return out
 
 
-def _rate_program(sense, const, rate, alpha, classes, lam=None):
-    """const + t rate + R(lam) + sum s_i Q_i <= 0 as a LinearSdp on its face.
+def _program(c, coefs, rows, u=None, joint=False):
+    """min c y with F(y) = F_0 + sum y_i F_i <= 0 as a LinearSdp, where F_i
+    is u^T coefs_i u (coefs_i itself for u=None) and then diag(rows_i): each
+    sign or bound constraint sits on the diagonal in a row of its own.
 
-    t >= 0 is the rate, minimized for sense = 1 and maximized for sense = -1;
-    R(lam) = lmikit.relaxation(lam). A pinned lam puts R(lam) in the
-    constant. With lam=None, lam is the variable after t: its square enters
-    through the Schur border eta(lam) with corner -1, and
-    LAM_MIN <= lam <= LAM_MAX sits on the diagonal. The s_i are variables,
-    except s_i = inf for each Q_i whose class has m == L, and the LMI is
-    kept on _face. Last on the diagonal, each in a row of its own, come
-    t >= 0 and each variable s_i >= 0. Returns the program and a map from
-    its solution to (t, lam, s).
+    With joint, y_2 is lam with coefs_2 = RELAX_LIN: its square enters
+    through the Schur border eta(lam) with corner -1, and LAM_MIN <= lam <=
+    LAM_MAX come first on the diagonal.
     """
-    qs = _qc_mats(alpha, classes)
-    joint = lam is None
-    if joint:
-        coefs = [const, rate, RELAX_LIN]
-    else:
-        coefs = [const + relaxation(lam), rate]
-    keep, u = _face(alpha, classes)
-    coefs += [qs[i] for i in keep]
-    signs = [1, *range(2 + joint, len(coefs))]
-    tail = np.zeros((len(coefs), 2 * joint + len(signs)))
-    tail[signs, range(-len(signs), 0)] = -1.0
     if joint:
         u = _bordered(u)
         u[4, -1] = 1.0
         coefs = [_bordered(m) for m in coefs]
         coefs[0][4, 4] = -1.0
         coefs[2][:4, 4] = coefs[2][4, :4] = eta_vector(1.0)
-        tail[0, :2] = LAM_MIN, -LAM_MAX
-        tail[2, :2] = -1.0, 1.0
-    blocks = [u.T @ m @ u for m in coefs]
+        bounds = np.zeros((len(coefs), 2))
+        bounds[0], bounds[2] = (LAM_MIN, -LAM_MAX), (-1.0, 1.0)
+        rows = np.hstack([bounds, rows])
+    blocks = coefs if u is None else [u.T @ m @ u for m in coefs]
     k = len(blocks[0])
-    mats = [np.diag(np.concatenate([np.zeros(k), d])) for d in tail]
+    mats = [np.diag(np.concatenate([np.zeros(k), d])) for d in rows]
     for p, b in zip(mats, blocks):
         p[:k, :k] = b
-    c = np.zeros(len(mats) - 1)
-    c[0] = sense
-    prob = sdpcore.LinearSdp(c, mats[0], tuple(mats[1:]))
-
-    def unpack(sol):
-        t = float(sol.y[0])
-        lam_out = float(min(max(sol.y[1], LAM_MIN), LAM_MAX)) if joint else lam
-        sigma = np.full(len(qs), math.inf)
-        sigma[keep] = sol.y[1 + joint:]
-        return t, lam_out, tuple(float(s) for s in sigma)
-    return prob, unpack
+    return sdpcore.LinearSdp(c, mats[0], tuple(mats[1:]))
 
 
 def _horner(coefs, x):
@@ -371,22 +343,40 @@ def linear_rate_value(alpha, classes, lam=None,
                       max_iter=sdpcore.DEFAULT_MAX_ITER):
     """Optimal rho2 of the linear-rate program, unclipped.
 
-    Returns (rho2, lam, sigma, status); sigma_i = inf exactly for each class
-    with m == L (see _face). With lam=None the relaxation is optimized
-    jointly (Schur extension, lam in [LAM_MIN, LAM_MAX]); otherwise lam is
-    pinned.
+    Minimizes rho2 over W2 + sum s_i Q_i <= 0, W2 = RATE_E - rho2 RATE_E +
+    R(lam) with R = lmikit.relaxation, on _face: s_i = inf exactly for each
+    class with m == L. rho2 >= 0 and each variable s_i >= 0 sit on the
+    diagonal. A pinned lam puts R(lam) in the constant; with lam=None, lam
+    is a variable in [LAM_MIN, LAM_MAX] (the joint form of _program).
+    Returns (rho2, lam, sigma, status). Refused, before numpy can warn,
+    when alpha^2 overflows the Q_i or a pinned lam^2 overflows.
     """
     if not alpha > 0:
         raise CertificationError("alpha must be positive")
     if not check_assumption1(classes):
         raise CertificationError("assumption1 violated")
+    joint = lam is None
     try:
-        prob, unpack = _rate_program(1.0, RATE_E, -RATE_E, alpha, classes,
-                                     lam)
-    except ValueError:  # LinearSdp: alpha^2 overflowed in the Q_i
+        with np.errstate(over="raise", invalid="raise"):
+            qs = build_qc_triplet(alpha, classes.f, classes.g, classes.h)
+            keep, u = _face(alpha, classes)
+            coefs = ([RATE_E, -RATE_E, RELAX_LIN] if joint
+                     else [RATE_E + relaxation(lam), -RATE_E])
+            signs = [1, *range(len(coefs), len(coefs) + len(keep))]
+            coefs += [qs[i] for i in keep]
+            rows = np.zeros((len(coefs), len(signs)))
+            rows[signs, range(len(signs))] = -1.0
+            c = np.zeros(len(coefs) - 1)
+            c[0] = 1.0
+            prob = _program(c, coefs, rows, u, joint)
+    except (FloatingPointError, OverflowError):  # OverflowError: lam ** 2
         raise CertificationError("linear-rate program overflows here")
     sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
-    return (*unpack(sol), sol.status)
+    sigma = np.full(3, math.inf)
+    sigma[keep] = sol.y[1 + joint:]
+    lam_out = float(min(max(sol.y[1], LAM_MIN), LAM_MAX)) if joint else lam
+    return (float(sol.y[0]), lam_out, tuple(float(s) for s in sigma),
+            sol.status)
 
 
 def audit(w, sigma, alpha, classes):
@@ -398,8 +388,9 @@ def audit(w, sigma, alpha, classes):
     has m == L: the LMI is then checked on _face(alpha, classes). For a
     class with m != L it proves nothing, and the margin is inf.
     """
+    qs = build_qc_triplet(alpha, classes.f, classes.g, classes.h)
     m = w
-    for s, q in zip(sigma, _qc_mats(alpha, classes)):
+    for s, q in zip(sigma, qs):
         if math.isfinite(s):
             m = m + s * q
     if not all(math.isfinite(s) for s in sigma):
@@ -442,61 +433,53 @@ def certify_linear_rate(alpha, classes, lam=None,
         margin=margin, provenance="sdp", rho2=rho2)
 
 
-def dual_linear_rate(alpha, lam, classes, feas_tol=sdpcore.DEFAULT_FEAS_TOL,
-                     gap_tol=sdpcore.DEFAULT_GAP_TOL,
-                     max_iter=sdpcore.DEFAULT_MAX_ITER, return_z=False):
+def dual_linear_rate(alpha, lam, classes, return_z=False):
     """Optimal value of the dual rate program at fixed (alpha, lam).
 
-    Maximizes Tr(G^T W_O G Z) over Z >= 0 with the trace normalization and
-    the scalar QC inequalities. The G^T Q_i G of a class with m == L is
-    -(1/2m) (G^T s_i)(G^T s_i)^T, so tr(G^T Q_i G Z) >= 0 forces Z onto the
-    face orthogonal to G^T s_i (_face with g = G); it is eliminated up front.
-    Refused when the program is infeasible, or when alpha^2 overflows the
-    Q_i or the solve's audit slack.
+    Maximizes Tr(G^T W_O G Z) over Z >= 0 with the trace normalization
+    Tr(G^T W_I G Z) = 1 and the scalar QC inequalities tr(G^T Q_i G Z) >= 0
+    on the diagonal (_program, on the face). The G^T Q_i G of a class with
+    m == L is -(1/2m) (G^T s_i)(G^T s_i)^T, so its inequality forces Z onto
+    the face orthogonal to G^T s_i (_face with g = G); it is eliminated up
+    front. Z runs over z0 plus the span of the symmetric units, each less
+    its trace times z0. Solved at sdpcore's default tolerances; refused
+    when the program is infeasible, when alpha^2 overflows the Q_i or the
+    solve's audit slack, or when the slack exceeds sdpcore.DEFAULT_FEAS_TOL,
+    as a solve cut short leaves it.
     """
     if not check_assumption1(classes):
         raise CertificationError("assumption1 violated")
-    qs = _qc_mats(alpha, classes)
+    qs = build_qc_triplet(alpha, classes.f, classes.g, classes.h)
     w_o, w_i, gm = build_dual_data(lam)
-    p = gm.T @ w_o @ gm
     keep, u = _face(alpha, classes, gm)
-    n = u.shape[1]
-    pr = u.T @ p @ u
-    rr = [u.T @ (gm.T @ qs[i] @ gm) @ u for i in keep]
-    nmat = u.T @ (gm.T @ w_i @ gm) @ u
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    vecs = []
-    for (i, j) in pairs:
-        bmat = np.zeros((n, n))
-        bmat[i, j] = 1.0
-        bmat[j, i] = 1.0
-        vecs.append((bmat, np.trace(nmat @ bmat)))
-    k0 = max(range(len(vecs)), key=lambda k: abs(vecs[k][1]))
-    t0 = vecs[k0][1]
+    pr, nmat, *rr = [u.T @ (gm.T @ m @ gm) @ u
+                     for m in (w_o, w_i, *(qs[i] for i in keep))]
+    iu, ju = np.triu_indices(u.shape[1])
+    units = np.zeros((len(iu), *nmat.shape))
+    units[range(len(iu)), iu, ju] = units[range(len(iu)), ju, iu] = 1.0
+    traces = np.where(iu == ju, nmat[iu, ju], nmat[iu, ju] + nmat[ju, iu])
+    k0 = np.argmax(abs(traces))
+    t0 = traces[k0]
     if abs(t0) < 1e-12:
         raise CertificationError("normalization unreachable on the subspace")
-    z0 = vecs[k0][0] / t0
-    basis = [b - (t / t0) * vecs[k0][0]
-             for k, (b, t) in enumerate(vecs) if k != k0]
-    nb = len(rr)
-    def emb(z):
-        f = np.zeros((n + nb, n + nb))
-        f[:n, :n] = -z
-        for j, rm in enumerate(rr):
-            f[n + j, n + j] = -np.trace(rm @ z)
-        return f
-    f0 = emb(z0)
-    fs = [emb(b) for b in basis]
+    z0 = units[k0] / t0
+    basis = np.delete(units - (traces / t0)[:, None, None] * units[k0], k0,
+                      axis=0)
+    zs = [z0, *basis]
+    rows = np.array([[-np.trace(rm @ z) for rm in rr] for z in zs])
     c = np.array([-np.trace(pr @ b) for b in basis])
     try:
-        prob = sdpcore.LinearSdp(c, f0, tuple(fs))
+        prob = _program(c, [-z for z in zs], rows)
     except ValueError:  # alpha^2 overflowed in the Q_i
         raise CertificationError("dual program overflows here")
-    sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
+    sol = sdpcore.solve_sdp(prob)
     if sol.status == sdpcore.STATUS_INFEASIBLE:
         raise CertificationError("dual program infeasible")
     if math.isinf(sol.slack):  # its audit overflowed
         raise CertificationError("dual program overflows here")
+    if sol.slack > sdpcore.DEFAULT_FEAS_TOL:
+        raise CertificationError(f"dual program ended {sol.status} and fails"
+                                 f" its audit by {sol.slack:.3g}")
     zred = z0 + sum(yk * b for yk, b in zip(sol.y, basis))
     val = float(np.trace(pr @ zred))
     if return_z:

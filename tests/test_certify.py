@@ -720,7 +720,7 @@ def test_face_spans_the_eigenvector_reference(classes):
     gm = build_dual_data(1.0)[2]
     rng = np.random.default_rng(3)
     for alpha in [0.02, *np.exp(rng.uniform(math.log(1e-3), math.log(10.0), 8))]:
-        qs = certify._qc_mats(alpha, classes)
+        qs = build_qc_triplet(alpha, classes.f, classes.g, classes.h)
         for g, mats in ((None, qs), (gm, [gm.T @ q @ gm for q in qs])):
             keep, u = certify._face(alpha, classes, g)
             assert keep == [i for i, c in enumerate(
@@ -827,6 +827,15 @@ def test_linear_rate_refuses_a_cut_solve(max_iter):
     # rho2 < 1 that its multipliers do not prove: the audit refuses it
     with pytest.raises(CertificationError, match="fails the audit"):
         certify_linear_rate(50.0, STRONG_G, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("alpha", [1e154, 1e160, 1e200])
+def test_dual_refuses_a_cut_solve(alpha):
+    # on set e (f with m = L) the dual solve ends maxIterations with an audit
+    # slack above 1e163: no value, as the primal issues no certificate there
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(CertificationError, match="fails its audit by"):
+            dual_linear_rate(alpha, 0.5, STRONG_F_EQUAL)
 
 
 def test_linear_rate_requires_assumption():

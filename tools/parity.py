@@ -10,10 +10,9 @@ inputs from `perfbench.workloads`, `objective-refusals` (the seed-0
 surface points that `certify_objective_rate` refuses without a solve,
 alpha L_h >= 4 - 2 LAM_MIN, each program solved once through
 `objective_program` of `tests/face_programs.py`, so that the IPM's Farkas
-path stays covered; a tree without that file takes
-`certify._objective_program`), the residual-rate grid (lambda
-joint, 0.5, 1.0 and 1.5 over the surface's stepsizes), `linear-near-equal`
-(linear-duality's set e, whose f has m = L = 20, with L_f raised to
+path stays covered), the residual-rate grid (lambda joint, 0.5, 1.0 and
+1.5 over the surface's stepsizes), `linear-near-equal` (linear-duality's
+set e, whose f has m = L = 20, with L_f raised to
 20 (1 + delta): a joint certificate and one pinned at its lambda over set
 e's stepsizes, so that a multiplier sigma_f = inf that appears or vanishes
 shows in the diff) and `sdpcore-cases`:
@@ -55,9 +54,7 @@ counterpart, so a change that moves a closed-form rate or its audit,
 which make no solve, fails it too.
 
 To compare two commits, copy this file into a checkout of each and run
-`dump` there. A tree whose `LinearSdp` still takes sign flags dumps with
-its own copy: its `feasibility_margin` takes the flags as a third
-argument.
+`dump` there.
 """
 
 import json
@@ -124,10 +121,7 @@ def _refusal_operations():
     """
     from perfbench import workloads
     from toscert import certify, sdpcore
-    try:
-        from face_programs import objective_program
-    except ImportError:  # a tree from before the closed forms
-        objective_program = certify._objective_program
+    from face_programs import objective_program
     bound = 4 - 2 * Fraction(certify.LAM_MIN)
 
     def solve(point):
