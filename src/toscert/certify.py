@@ -443,34 +443,39 @@ def dual_linear_rate(alpha, lam, classes, return_z=False):
     the face orthogonal to G^T s_i (_face with g = G); it is eliminated up
     front. Z runs over z0 plus the span of the symmetric units, each less
     its trace times z0. Solved at sdpcore's default tolerances; refused
-    when the program is infeasible, when alpha^2 overflows the Q_i or the
-    solve's audit slack, or when the slack exceeds sdpcore.DEFAULT_FEAS_TOL,
-    as a solve cut short leaves it.
+    when the program is infeasible, when its data build overflows (alpha^2
+    in the Q_i, even one the face drops, or lam^2), as the primal's does,
+    when the solve's audit slack overflows, or when the slack exceeds
+    sdpcore.DEFAULT_FEAS_TOL, as a solve cut short leaves it.
     """
     if not check_assumption1(classes):
         raise CertificationError("assumption1 violated")
-    qs = build_qc_triplet(alpha, classes.f, classes.g, classes.h)
-    w_o, w_i, gm = build_dual_data(lam)
-    keep, u = _face(alpha, classes, gm)
-    pr, nmat, *rr = [u.T @ (gm.T @ m @ gm) @ u
-                     for m in (w_o, w_i, *(qs[i] for i in keep))]
-    iu, ju = np.triu_indices(u.shape[1])
-    units = np.zeros((len(iu), *nmat.shape))
-    units[range(len(iu)), iu, ju] = units[range(len(iu)), ju, iu] = 1.0
-    traces = np.where(iu == ju, nmat[iu, ju], nmat[iu, ju] + nmat[ju, iu])
-    k0 = np.argmax(abs(traces))
-    t0 = traces[k0]
-    if abs(t0) < 1e-12:
-        raise CertificationError("normalization unreachable on the subspace")
-    z0 = units[k0] / t0
-    basis = np.delete(units - (traces / t0)[:, None, None] * units[k0], k0,
-                      axis=0)
-    zs = [z0, *basis]
-    rows = np.array([[-np.trace(rm @ z) for rm in rr] for z in zs])
-    c = np.array([-np.trace(pr @ b) for b in basis])
     try:
-        prob = _program(c, [-z for z in zs], rows)
-    except ValueError:  # alpha^2 overflowed in the Q_i
+        with np.errstate(over="raise", invalid="raise"):
+            qs = build_qc_triplet(alpha, classes.f, classes.g, classes.h)
+            w_o, w_i, gm = build_dual_data(lam)
+            keep, u = _face(alpha, classes, gm)
+            pr, nmat, *rr = [u.T @ (gm.T @ m @ gm) @ u
+                             for m in (w_o, w_i, *(qs[i] for i in keep))]
+            iu, ju = np.triu_indices(u.shape[1])
+            units = np.zeros((len(iu), *nmat.shape))
+            units[range(len(iu)), iu, ju] = 1.0
+            units[range(len(iu)), ju, iu] = 1.0
+            traces = np.where(iu == ju, nmat[iu, ju],
+                              nmat[iu, ju] + nmat[ju, iu])
+            k0 = np.argmax(abs(traces))
+            t0 = traces[k0]
+            if abs(t0) < 1e-12:
+                raise CertificationError(
+                    "normalization unreachable on the subspace")
+            z0 = units[k0] / t0
+            basis = np.delete(
+                units - (traces / t0)[:, None, None] * units[k0], k0, axis=0)
+            zs = [z0, *basis]
+            rows = np.array([[-np.trace(rm @ z) for rm in rr] for z in zs])
+            c = np.array([-np.trace(pr @ b) for b in basis])
+            prob = _program(c, [-z for z in zs], rows)
+    except (FloatingPointError, OverflowError):  # OverflowError: lam ** 2
         raise CertificationError("dual program overflows here")
     sol = sdpcore.solve_sdp(prob)
     if sol.status == sdpcore.STATUS_INFEASIBLE:

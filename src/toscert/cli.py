@@ -20,8 +20,8 @@ EXIT_BAD_INPUT = 4
 
 def _fail(code, kind, message, out=None):
     doc = json.dumps({"error": kind, "message": message}, indent=2)
-    if out:
-        with open(out, "w") as fh:
+    if out and not os.path.isdir(out):  # a directory is no place for it
+        with tos._open_new(out) as fh:
             fh.write(doc + "\n")
     print(doc, file=sys.stderr)
     return code
@@ -81,8 +81,11 @@ def _load_request(args):
     lambda, takes none), solver tolerances and problem classes, sweep its
     stepsizes, run its splitting oracle and settings;
     run's z0 must be a finite vector, h.matrix square of its size, and each
-    prox must apply to z0. Raises one of _BAD_INPUT.
+    prox must apply to z0. --out must not name a directory. Raises one of
+    _BAD_INPUT.
     """
+    if args.out and os.path.isdir(args.out):
+        raise IsADirectoryError(f"--out {args.out} is a directory")
     with open(args.input) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -135,7 +138,7 @@ def _load_request(args):
 
 def _write(text, out):
     if out:
-        with open(out, "w") as fh:
+        with tos._open_new(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

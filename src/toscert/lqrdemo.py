@@ -178,7 +178,14 @@ def check_sweep(lambdas, iter_budget):
 
 
 def run_sweep(inst, lambdas, iter_budget, out_dir=None):
-    """One run per lambda at alpha = (2 - lambda)/L_h; optional CSV export."""
+    """One run per lambda at alpha = (2 - lambda)/L_h; optional CSV export.
+
+    With out_dir, each run's trace_lambda_*.csv and then summary.json are
+    written there. Files from an earlier sweep are replaced, not truncated
+    in place: a hard link keeps the old content, a symlink is written
+    through. Truncating them stalled a rewrite for tens of ms on ext4
+    (see `tos._open_new`).
+    """
     check_sweep(lambdas, iter_budget)
     oracle, layout, l_h = assemble_oracles(inst)
     z0 = np.zeros(layout.dim)
@@ -200,6 +207,6 @@ def run_sweep(inst, lambdas, iter_budget, out_dir=None):
     if out_dir is not None:
         summary = [{k: v for k, v in rec.items() if k != "trace"}
                    for rec in results]
-        with open(f"{out_dir}/summary.json", "w") as fh:
+        with tos._open_new(f"{out_dir}/summary.json") as fh:
             json.dump(summary, fh, indent=2)
     return results

@@ -18,6 +18,8 @@ are bitwise the ones the run stepped through.
 import csv
 import math
 import numbers
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +51,26 @@ class TosConfig:
             raise ValueError("max_iter must be an integer >= 1")
         if not self.residual_tol >= 0:  # NaN fails it too
             raise ValueError("residual_tol must be >= 0")
+
+
+def _open_new(path, newline=None):
+    """Open path for writing as a new file; every file toscert writes goes
+    through here.
+
+    A regular file already at path is removed first, so an old output is
+    replaced, not truncated in place: a hard link to it keeps the old bytes,
+    and the new file takes the default permissions. A symlink is written
+    through to its target; a directory or a missing path behaves as under
+    open alone. Why: on ext4 mounted with discard, truncating a rewritten
+    output in place stalled for tens of ms a call (medians up to 55 ms),
+    where removing it first took under a millisecond.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except OSError:  # missing, or not removable: open decides, as before
+        pass
+    return open(path, "w", newline=newline)
 
 
 def relax(z, x_b, x_a, lam):
@@ -89,8 +111,11 @@ class IterateTrace:
         return [self.alpha ** 2 * r for r in self.residual_norm2]
 
     def to_csv(self, path, zstar=None):
+        """Write one CSV row a step to path. A file there is replaced, not
+        truncated in place: a hard link keeps the old content, a symlink is
+        written through (truncation stalled on ext4; see `_open_new`)."""
         zs = None if zstar is None else np.asarray(self.z)
-        with open(path, "w", newline="") as fh:
+        with _open_new(path, newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["k", "residual_norm2", "min_residual_norm2_so_far",
                         "dist_to_zstar2", "objective"])

@@ -3,6 +3,7 @@
 import math
 import os
 import sys
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -829,13 +830,29 @@ def test_linear_rate_refuses_a_cut_solve(max_iter):
         certify_linear_rate(50.0, STRONG_G, max_iter=max_iter)
 
 
-@pytest.mark.parametrize("alpha", [1e154, 1e160, 1e200])
-def test_dual_refuses_a_cut_solve(alpha):
-    # on set e (f with m = L) the dual solve ends maxIterations with an audit
-    # slack above 1e163: no value, as the primal issues no certificate there
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(CertificationError, match="fails its audit by"):
-            dual_linear_rate(alpha, 0.5, STRONG_F_EQUAL)
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+def test_dual_refuses_a_cut_solve(monkeypatch, max_iter):
+    # cut short, the dual solve leaves an audit slack above feas_tol: no value
+    solve = sdpcore.solve_sdp
+    monkeypatch.setattr(sdpcore, "solve_sdp", lambda prob: solve(
+        prob, max_iter=max_iter))
+    with pytest.raises(CertificationError, match="fails its audit by"):
+        dual_linear_rate(0.2, 0.5, STRONG_G)
+
+
+@pytest.mark.parametrize("alpha, lam", [
+    (1e154, 0.5), (1e160, 0.5), (1e200, 0.5), (0.1, 1e200)])
+def test_dual_refuses_overflow_as_the_primal_does(alpha, lam):
+    # on set e (f with m = L), alpha^2 overflows the Q_f that the face drops,
+    # or lam^2 overflows: both producers refuse before any solve, without a
+    # numpy warning and without an OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CertificationError,
+                           match="^dual program overflows here$"):
+            dual_linear_rate(alpha, lam, STRONG_F_EQUAL)
+        with pytest.raises(CertificationError, match="overflows here"):
+            certify_linear_rate(alpha, STRONG_F_EQUAL, lam)
 
 
 def test_linear_rate_requires_assumption():

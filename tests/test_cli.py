@@ -371,6 +371,35 @@ def test_run_reports_divergence_in_a_factored_prox(tmp_path, capsys):
         assert json.load(fh)["error"] == "diverged"
 
 
+def test_symlinked_out_is_written_through(tmp_path):
+    # the link stays a link, and its target gets the output
+    inp = _write(tmp_path / "in.json", LINEAR_DOC)
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old " * 1000)
+    link.symlink_to(target)
+    assert cli.main(["certify", inp, "--out", str(link)]) == cli.EXIT_OK
+    assert link.is_symlink()
+    assert certify.certificate_from_json(target.read_text()).rho2 < 1.0
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("certify", LINEAR_DOC),
+    ("run", {"f": {"type": "zero"}, "g": {"type": "zero"},
+             "h": {"matrix": [[1.0]]}, "z0": [1.0], "alpha": 0.5,
+             "lambda": 1.0, "max_iter": 3})],
+    ids=["certify", "run"])
+def test_out_naming_a_directory_is_bad_input(tmp_path, capsys, command, doc):
+    # the directory is left as it was, and the error goes to stderr alone
+    inp = _write(tmp_path / "in.json", doc)
+    out = tmp_path / "out"
+    out.mkdir()
+    code = cli.main([command, inp, "--out", str(out)])
+    assert code == cli.EXIT_BAD_INPUT
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "badInput" and "is a directory" in err["message"]
+    assert not any(out.iterdir())
+
+
 def test_run_unknown_prox_type(tmp_path):
     doc = {"f": {"type": "bogus"}, "g": {"type": "zero"},
            "h": {"matrix": [[1.0]]}, "z0": [1.0],

@@ -251,6 +251,43 @@ def test_run_sweep_outputs(tmp_path):
     assert (tmp_path / "trace_lambda_0.5.csv").exists()
 
 
+def _sweep_bytes(out_dir):
+    """Each output of a small two-lambda sweep into out_dir, by name."""
+    out_dir.mkdir(exist_ok=True)
+    lqrdemo.run_sweep(lqrdemo.build_instance(2, 3, 2, 4), [0.5, 1.0], 40,
+                      out_dir=str(out_dir))
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_run_sweep_replaces_longer_outputs(tmp_path):
+    # an earlier sweep's longer files leave no tail: the bytes are a fresh
+    # directory's, CSV rows ended by \r\n
+    fresh = _sweep_bytes(tmp_path / "fresh")
+    old = tmp_path / "old"
+    old.mkdir()
+    for name, data in fresh.items():
+        (old / name).write_bytes(b"junk\n" * (len(data) // 5 + 100))
+    assert _sweep_bytes(old) == fresh
+    assert fresh["trace_lambda_0.5.csv"].startswith(
+        b"k,residual_norm2,min_residual_norm2_so_far,dist_to_zstar2,"
+        b"objective\r\n0,")
+
+
+def test_run_sweep_leaves_a_hard_link_its_old_bytes(tmp_path):
+    # the one change from truncating in place: the output is a new file, so
+    # another link to the old one keeps the old content
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.json").write_text("old summary")
+    (out / "trace_lambda_0.5.csv").write_text("old trace")
+    for name in ("summary.json", "trace_lambda_0.5.csv"):
+        (tmp_path / name).hardlink_to(out / name)
+    fresh = _sweep_bytes(tmp_path / "fresh")
+    assert _sweep_bytes(out) == fresh
+    assert (tmp_path / "summary.json").read_text() == "old summary"
+    assert (tmp_path / "trace_lambda_0.5.csv").read_text() == "old trace"
+
+
 def test_run_sweep_validates_lambda(tmp_path):
     inst = lqrdemo.build_instance(2, 3, 2, 4)
     with pytest.raises(ValueError):

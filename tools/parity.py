@@ -31,7 +31,9 @@ and an `sdpcore-cases` operation its optimal value or margin, with no
 lambda or audit margin. Its `lqr-demo` section runs the benchmark's
 `lqr-demo` operations at seed 0, one trace per default lambda, and writes
 the sha256 of the bytes of the trace's x_B, x_A, z, residual_norm2 and
-objective and of its CSV file.
+objective and of its CSV file. Each lambda runs twice into one directory,
+and the CSV is hashed after each write, so the rewrite of an existing
+output is covered too.
 
 `diff` matches solves by section, operation and order within the
 operation, and prints, per section and in total: how many are identical,
@@ -48,10 +50,11 @@ in lambda, and the audit margins that differ in their bits, with the
 largest absolute change. Solves missing at operations that refuse on
 both sides are counted apart from the other solves or operations
 without a counterpart. It counts the identical and the differing `lqr-demo`
-traces apart, naming the fields that differ. It exits 1 when any solve,
+traces apart, naming the fields that differ, and flags a trace whose
+rewritten CSV differs from its first write. It exits 1 when any solve,
 issued rate, lambda, audit margin or trace differs or has no
-counterpart, so a change that moves a closed-form rate or its audit,
-which make no solve, fails it too.
+counterpart, or a rewritten CSV differs, so a change that moves a
+closed-form rate or its audit, which make no solve, fails it too.
 
 To compare two commits, copy this file into a checkout of each and run
 `dump` there.
@@ -198,13 +201,17 @@ def _lqr_traces():
     rows = []
     with tempfile.TemporaryDirectory() as out:
         for lam in workloads.LQR_LAMBDAS:
-            trace = lqrdemo.run_sweep(inst, [lam], workloads.LQR_ITERS,
-                                      out_dir=out)[0]["trace"]
+            csvs = []
+            for _ in range(2):  # the second run rewrites the first's files
+                trace = lqrdemo.run_sweep(inst, [lam], workloads.LQR_ITERS,
+                                          out_dir=out)[0]["trace"]
+                with open(os.path.join(out, lqrdemo._csv_name(lam)),
+                          "rb") as fh:
+                    csvs.append(sha(fh.read()))
             digests = {name: sha(np.ascontiguousarray(
                 getattr(trace, name), dtype=float).tobytes())
                 for name in LQR_FIELDS}
-            with open(os.path.join(out, lqrdemo._csv_name(lam)), "rb") as fh:
-                digests["csv"] = sha(fh.read())
+            digests["csv"], digests["csv_rewritten"] = csvs
             rows.append({"lambda": lam, "sha256": digests})
     return rows
 
@@ -349,6 +356,10 @@ def _compare_traces(rows_a, rows_b):
     for ra, rb in zip(rows_a, rows_b):
         fields = [k for k in ra["sha256"]
                   if ra["sha256"][k] != rb["sha256"].get(k)]
+        fields += [f"{side}'s rewritten csv"
+                   for side, row in zip("ab", (ra, rb))
+                   if row["sha256"].get("csv_rewritten")
+                   != row["sha256"]["csv"]]
         if ra["lambda"] != rb["lambda"] or fields:
             differ.append((ra["lambda"], fields))
         else:
