@@ -35,6 +35,11 @@ SENTINEL_RATE = {MODE_RESIDUAL: 0.0, MODE_OBJECTIVE: 0.0, MODE_LINEAR: 1.0}
 
 CLOSED_FORM = "closedForm"  # the sublinear certificates' provenance
 
+# empirical_lyapunov_check's slack: a step's, relative to the value before
+# it, and the cumulative rate bound's, relative to the bound
+LYAPUNOV_REL_TOL = 1e-7
+LYAPUNOV_BOUND_TOL = 1e-6
+
 
 class CertificationError(Exception):
     pass
@@ -337,10 +342,7 @@ def certify_objective_rate(alpha, Lf, Lh):
             build_w1(lam, t, alpha, Lf, Lh), (2 * alpha * lam - t) / alpha**2))
 
 
-def linear_rate_value(alpha, classes, lam=None,
-                      feas_tol=sdpcore.DEFAULT_FEAS_TOL,
-                      gap_tol=sdpcore.DEFAULT_GAP_TOL,
-                      max_iter=sdpcore.DEFAULT_MAX_ITER):
+def linear_rate_value(alpha, classes, lam=None):
     """Optimal rho2 of the linear-rate program, unclipped.
 
     Minimizes rho2 over W2 + sum s_i Q_i <= 0, W2 = RATE_E - rho2 RATE_E +
@@ -348,6 +350,7 @@ def linear_rate_value(alpha, classes, lam=None,
     class with m == L. rho2 >= 0 and each variable s_i >= 0 sit on the
     diagonal. A pinned lam puts R(lam) in the constant; with lam=None, lam
     is a variable in [LAM_MIN, LAM_MAX] (the joint form of _program).
+    Solved at sdpcore's default tolerances and iteration budget.
     Returns (rho2, lam, sigma, status). Refused, before numpy can warn,
     when alpha^2 overflows the Q_i or a pinned lam^2 overflows.
     """
@@ -371,7 +374,7 @@ def linear_rate_value(alpha, classes, lam=None,
             prob = _program(c, coefs, rows, u, joint)
     except (FloatingPointError, OverflowError):  # OverflowError: lam ** 2
         raise CertificationError("linear-rate program overflows here")
-    sol = sdpcore.solve_sdp(prob, feas_tol, gap_tol, max_iter)
+    sol = sdpcore.solve_sdp(prob)
     sigma = np.full(3, math.inf)
     sigma[keep] = sol.y[1 + joint:]
     lam_out = float(min(max(sol.y[1], LAM_MIN), LAM_MAX)) if joint else lam
@@ -401,30 +404,26 @@ def audit(w, sigma, alpha, classes):
     return max_eig(m)
 
 
-def certify_linear_rate(alpha, classes, lam=None,
-                        feas_tol=sdpcore.DEFAULT_FEAS_TOL,
-                        gap_tol=sdpcore.DEFAULT_GAP_TOL,
-                        max_iter=sdpcore.DEFAULT_MAX_ITER):
+def certify_linear_rate(alpha, classes, lam=None):
     """Linear-rate certificate rho2 < 1, jointly over lam unless pinned.
 
     Refused when the program is infeasible, when 1 - rho2 is not above
-    feas_tol, when the audit margin of the rebuilt LMI exceeds feas_tol,
-    or when alpha^2 overflows the Q_i.
+    sdpcore.DEFAULT_FEAS_TOL, when the audit margin of the rebuilt LMI
+    exceeds it, as for every producer, or when alpha^2 overflows the Q_i.
     """
     if lam is not None and not lam > 0:
         raise CertificationError("lam must be positive")
-    rho2, lam_out, sigma, status = linear_rate_value(
-        alpha, classes, lam, feas_tol, gap_tol, max_iter)
+    rho2, lam_out, sigma, status = linear_rate_value(alpha, classes, lam)
     if status == sdpcore.STATUS_INFEASIBLE:
         raise CertificationError("linear-rate program infeasible")
     # a contraction within the solver's tolerance of 1 is roundoff
-    if not 1.0 - rho2 > feas_tol:
+    if not 1.0 - rho2 > sdpcore.DEFAULT_FEAS_TOL:
         raise CertificationError("no linear certificate at this alpha")
     # W_O - rho2 W_I is W2 also at the rho2 <= 0 of a solve cut short
     w_o, w_i, _ = build_dual_data(lam_out)
     margin = audit(w_o - rho2 * w_i, sigma, alpha, classes)
     # a solve cut short may stop at a rate its multipliers do not prove
-    if margin > feas_tol:
+    if margin > sdpcore.DEFAULT_FEAS_TOL:
         raise CertificationError(
             f"linear-rate program ended {status} and its LMI fails the audit"
             f" by {margin:.3g}")
@@ -492,17 +491,18 @@ def dual_linear_rate(alpha, lam, classes, return_z=False):
     return val
 
 
-def certify_rate(mode, alpha, classes, lam=None, **solver_kw):
+def certify_rate(mode, alpha, classes, lam=None):
     """The certificate of one mode at one stepsize; lam=None optimizes it.
 
     The objective mode always optimizes lam, so a lam for it is a
-    ValueError. Only the linear producer solves, and takes solver_kw.
+    ValueError. Only the linear producer solves; every producer gates its
+    audit margin on sdpcore.DEFAULT_FEAS_TOL.
     """
     if mode == MODE_OBJECTIVE and lam is not None:
         raise ValueError("the objective mode optimizes lambda; "
                          "it takes no pinned lambda")
     if mode == MODE_LINEAR:
-        return certify_linear_rate(alpha, classes, lam=lam, **solver_kw)
+        return certify_linear_rate(alpha, classes, lam=lam)
     if mode == MODE_RESIDUAL:
         return certify_residual_rate(alpha, lam, classes)
     if mode == MODE_OBJECTIVE:
@@ -510,7 +510,7 @@ def certify_rate(mode, alpha, classes, lam=None, **solver_kw):
     raise ValueError(f"unknown mode {mode}")
 
 
-def sweep_alpha(alpha_grid, classes, mode, lam=None, **solver_kw):
+def sweep_alpha(alpha_grid, classes, mode, lam=None):
     """Rate curve over a stepsize grid plus the grid-optimal point.
 
     Infeasible points carry the sentinel rate (1 for linear, 0 for the
@@ -522,7 +522,7 @@ def sweep_alpha(alpha_grid, classes, mode, lam=None, **solver_kw):
     curve = []
     for alpha in grid:
         try:
-            cert = certify_rate(mode, alpha, classes, lam, **solver_kw)
+            cert = certify_rate(mode, alpha, classes, lam)
             curve.append({"alpha": alpha, "rate": cert.rate(),
                           "lambda": cert.lam, "feasible": True})
         except CertificationError:
@@ -538,8 +538,7 @@ def sweep_alpha(alpha_grid, classes, mode, lam=None, **solver_kw):
     return curve, (best["alpha"], best["rate"])
 
 
-def empirical_lyapunov_check(trace, fixed_point, cert, fstar=None,
-                             rel_tol=1e-7, bound_tol=1e-6):
+def empirical_lyapunov_check(trace, fixed_point, cert, fstar=None):
     """Validate a certificate's Lyapunov decrease and rate bound on a trace.
 
     Returns a report dict with per-iteration violations (empty means pass)
@@ -558,11 +557,11 @@ def empirical_lyapunov_check(trace, fixed_point, cert, fstar=None,
         floor = (100.0 * np.finfo(float).eps) ** 2 * (1.0 + zstar @ zstar)
         for k in range(len(dist2) - 1):
             lim = rho2 * dist2[k]
-            if dist2[k + 1] > lim + rel_tol * max(dist2[k], 1e-300) \
-                    and dist2[k + 1] > floor:
+            slack = LYAPUNOV_REL_TOL * max(dist2[k], 1e-300)
+            if dist2[k + 1] > lim + slack and dist2[k + 1] > floor:
                 violations.append(k)
         k_arr = np.arange(len(dist2))
-        bound = dist2[0] * rho2 ** k_arr * (1.0 + bound_tol)
+        bound = dist2[0] * rho2 ** k_arr * (1.0 + LYAPUNOV_BOUND_TOL)
         bound_ok = bool((dist2 <= bound).all())
         detail["max_ratio"] = float(
             np.sqrt(np.max(dist2[1:] / np.maximum(dist2[:-1], 1e-300))))
@@ -578,12 +577,12 @@ def empirical_lyapunov_check(trace, fixed_point, cert, fstar=None,
         v = dist2[:len(seq) + 1] + theta * np.concatenate(
             [[0.0], np.cumsum(seq)])[:len(dist2)]
         for k in range(len(v) - 1):
-            if v[k + 1] > v[k] + rel_tol * max(v[k], 1e-300):
+            if v[k + 1] > v[k] + LYAPUNOV_REL_TOL * max(v[k], 1e-300):
                 violations.append(k)
         running_min = np.minimum.accumulate(seq)
         ks = np.arange(1, len(seq) + 1)
-        bound_ok = bool(
-            (running_min * theta * ks <= dist2[0] * (1.0 + bound_tol)).all())
+        bound_ok = bool((running_min * theta * ks
+                         <= dist2[0] * (1.0 + LYAPUNOV_BOUND_TOL)).all())
         detail["worst_product"] = float(np.max(running_min * theta * ks))
     else:
         raise ValueError(f"unknown mode {cert.mode}")

@@ -78,8 +78,8 @@ def _load_request(args):
     are checked. alpha and lambda come from the flag, else the document, as
     floats, and must be positive and finite, as must sweep's stepsizes.
     certify and sweep get their mode (the objective mode, which optimizes
-    lambda, takes none), solver tolerances and problem classes, sweep its
-    stepsizes, run its splitting oracle and settings;
+    lambda, takes none) and problem classes, sweep its stepsizes, run its
+    splitting oracle and settings;
     run's z0 must be a finite vector, h.matrix square of its size, and each
     prox must apply to z0. --out must not name a directory. Raises one of
     _BAD_INPUT.
@@ -126,7 +126,6 @@ def _load_request(args):
     if args.mode == certify.MODE_OBJECTIVE and args.lam is not None:
         raise ValueError("the objective mode optimizes lambda; "
                          "it takes no --lambda or document lambda")
-    sdpcore.check_options(args.tol_feas, args.tol_gap, args.max_iter)
     args.classes = _classes_from_doc(doc)
     if args.command == "sweep":
         args.grid = (_grid(args.grid) if args.grid
@@ -147,9 +146,7 @@ def _write(text, out):
 def cmd_certify(args):
     try:
         cert = certify.certify_rate(
-            args.mode, args.alpha, args.classes, args.lam,
-            feas_tol=args.tol_feas, gap_tol=args.tol_gap,
-            max_iter=args.max_iter)
+            args.mode, args.alpha, args.classes, args.lam)
     except certify.CertificationError as exc:
         return _fail(EXIT_INFEASIBLE, "infeasible", str(exc), args.out)
     _write(certify.certificate_to_json(cert) + "\n", args.out)
@@ -159,9 +156,7 @@ def cmd_certify(args):
 def cmd_sweep(args):
     try:
         curve, best = certify.sweep_alpha(
-            args.grid, args.classes, args.mode, lam=args.lam,
-            feas_tol=args.tol_feas, gap_tol=args.tol_gap,
-            max_iter=args.max_iter)
+            args.grid, args.classes, args.mode, lam=args.lam)
     except certify.CertificationError as exc:
         return _fail(EXIT_INFEASIBLE, "infeasible", str(exc), args.out)
     lines = ["alpha,rate,lambda,feasible"]
@@ -243,12 +238,6 @@ def build_parser():
         sp.add_argument("--alpha", type=float)
     for sp in (pc, ps):
         sp.add_argument("--mode")
-        sp.add_argument("--tol-feas", type=float,
-                        default=sdpcore.DEFAULT_FEAS_TOL)
-        sp.add_argument("--tol-gap", type=float,
-                        default=sdpcore.DEFAULT_GAP_TOL)
-        sp.add_argument("--max-iter", type=int,
-                        default=sdpcore.DEFAULT_MAX_ITER)
     ps.add_argument("--grid")
     for sp in (pc, ps, pr, pd):
         sp.add_argument("--out")

@@ -30,10 +30,10 @@ iterate keeps the lower Cholesky factor from the dpotrf that accepted its
 step (x and z are factored afresh only after a centrality restart or a
 refused step); dtrtri inverts it, Z^-1 = L_z^-T L_z^-1, and the Newton
 system and the four step lengths share these. Eigenvalues are taken only
-for step lengths, the projected ray and the 1e-14 lift after a failed
-factor. The loop takes LAPACK from `toscert._lapack` alone (scipy's
-`_flapack`, the objects `scipy.linalg.lapack` exposes), never from
-numpy.linalg, so one LAPACK build decides every result.
+for step lengths and the projected ray. The loop takes LAPACK from
+`toscert._lapack` alone (scipy's `_flapack`, the objects
+`scipy.linalg.lapack` exposes), never from numpy.linalg, so one LAPACK
+build decides every result.
 """
 
 import math
@@ -100,13 +100,10 @@ def _norm(a):
 
 
 def _chol(m):
-    """Lower dpotrf factor of m, lifted to eigenvalues >= 1e-14 if it fails."""
+    """Lower dpotrf factor of m; LinAlgError where dpotrf fails."""
     f, info = dpotrf(m, lower=1, clean=1)
     if info:
-        lift = max(0.0, 1e-14 - eigvalsh(m)[0])
-        f, info = dpotrf(m + lift * np.eye(len(m)), lower=1, clean=1)
-        if info:
-            raise np.linalg.LinAlgError("matrix is not positive definite")
+        raise np.linalg.LinAlgError("matrix is not positive definite")
     return f
 
 
@@ -277,14 +274,6 @@ def _ipm(c, f0, fs, feas_tol, gap_tol, max_iter):
     return yb * cscale / s, it, pres, dres, gap, tag
 
 
-def check_options(feas_tol, gap_tol, max_iter):
-    """Reject tolerances outside (0, 1e-2] and max_iter below 1."""
-    if not (0 < feas_tol <= 1e-2 and 0 < gap_tol <= 1e-2):
-        raise ValueError("tolerances must lie in (0, 1e-2]")
-    if not max_iter >= 1:
-        raise ValueError("max_iter must be at least 1")
-
-
 def solve_sdp(problem, feas_tol=DEFAULT_FEAS_TOL, gap_tol=DEFAULT_GAP_TOL,
               max_iter=DEFAULT_MAX_ITER):
     """Solve a LinearSdp; the reported slack is an independent eigenvalue audit.
@@ -297,7 +286,10 @@ def solve_sdp(problem, feas_tol=DEFAULT_FEAS_TOL, gap_tol=DEFAULT_GAP_TOL,
     out each y of equilibrated 1-norm up to a bound that only rounding
     sets, and at least 1e4 (see the module docstring).
     """
-    check_options(feas_tol, gap_tol, max_iter)
+    if not (0 < feas_tol <= 1e-2 and 0 < gap_tol <= 1e-2):
+        raise ValueError("tolerances must lie in (0, 1e-2]")
+    if not max_iter >= 1:
+        raise ValueError("max_iter must be at least 1")
     if problem.nvars == 0:
         slack = _audit_slack(problem.f0, (), np.zeros(0))
         status = STATUS_OPTIMAL if slack <= feas_tol else STATUS_INFEASIBLE

@@ -822,12 +822,24 @@ def test_linear_rate_infeasible_stepsize():
         certify_linear_rate(3.0, STRONG_G, lam=0.0)
 
 
-@pytest.mark.parametrize("max_iter", [1, 2, 3])
-def test_linear_rate_refuses_a_cut_solve(max_iter):
-    # cut short, the solve at a stepsize with no contraction stops at a
-    # rho2 < 1 that its multipliers do not prove: the audit refuses it
+@pytest.mark.parametrize("alpha, classes, tol, max_iter", [
+    (50.0, STRONG_G, sdpcore.DEFAULT_FEAS_TOL, 1),
+    (50.0, STRONG_G, sdpcore.DEFAULT_FEAS_TOL, 2),
+    (50.0, STRONG_G, sdpcore.DEFAULT_FEAS_TOL, 3),
+    (9.085175756516872, STRONG_G, 1e-2, 6),
+    (0.013894954943731374, STRONG_F_EQUAL, 1e-2, 3)],
+    ids=["1", "2", "3", "d-loose", "e-loose"])
+def test_linear_rate_refuses_a_cut_solve(monkeypatch, alpha, classes, tol,
+                                         max_iter):
+    # cut short, or converged only to loose tolerances, the solve stops at a
+    # rho2 < 1 that its multipliers do not prove: the audit, gated on the
+    # default feasibility tolerance, refuses it. The two loose solves end
+    # with margins 8.5e-3 and 9.2e-3, inside their own tolerance
+    solve = sdpcore.solve_sdp
+    monkeypatch.setattr(sdpcore, "solve_sdp", lambda prob: solve(
+        prob, tol, tol, max_iter))
     with pytest.raises(CertificationError, match="fails the audit"):
-        certify_linear_rate(50.0, STRONG_G, max_iter=max_iter)
+        certify_linear_rate(alpha, classes)
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 3])

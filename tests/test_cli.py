@@ -156,8 +156,7 @@ def test_certify_bad_input_exit_code(tmp_path, capsys):
                         capsys)
 
 
-_BAD_OPTIONS = (["--tol-feas", "1"], ["--tol-gap", "0"], ["--max-iter", "0"],
-                ["--mode", "bogus"])
+_BAD_OPTIONS = (["--mode", "bogus"],)
 
 
 def _assert_bad_options(command, inp, capsys):
@@ -174,16 +173,17 @@ def test_sweep_bad_input_exit_code(tmp_path, capsys):
 
 # the options each command takes; any other is a usage error
 _OPTIONS = {
-    "certify": {"--mode", "--alpha", "--lambda", "--out", "--tol-feas",
-                "--tol-gap", "--max-iter"},
-    "sweep": {"--mode", "--lambda", "--grid", "--out", "--tol-feas",
-              "--tol-gap", "--max-iter"},
+    "certify": {"--mode", "--alpha", "--lambda", "--out"},
+    "sweep": {"--mode", "--lambda", "--grid", "--out"},
     "run": {"--alpha", "--lambda", "--out"},
     "demo-lqr": {"--lambdas", "--n", "--m", "--horizon", "--iters", "--seed",
                  "--out"},
     "selftest": set(),
 }
-_ALL_OPTIONS = sorted(set().union(*_OPTIONS.values()))
+# every certificate is solved at sdpcore's defaults: no command takes the
+# solver's tolerances or iteration budget
+_SOLVER_OPTIONS = {"--tol-feas", "--tol-gap", "--max-iter"}
+_ALL_OPTIONS = sorted(set().union(*_OPTIONS.values(), _SOLVER_OPTIONS))
 
 
 @pytest.mark.parametrize("command, option", [
@@ -200,6 +200,25 @@ def test_command_refuses_options_it_does_not_read(tmp_path, monkeypatch,
     assert exc.value.code == cli.EXIT_USAGE
     assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
     assert capsys.readouterr().out == ""
+
+
+def test_certify_takes_no_solver_options(tmp_path):
+    # at these loose settings the solve stops at rho2 = 0.989 with audit
+    # margin +8.5e-3, while the pinned program at its lambda has rho2 =
+    # 1.022: a false certificate. No option may set them; at the defaults
+    # the stepsize is refused
+    doc = dict(LINEAR_DOC, alpha=9.085175756516872)
+    inp = _write(tmp_path / "in.json", doc)
+    out = tmp_path / "cert.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["certify", inp, "--tol-feas", "1e-2", "--tol-gap", "1e-2",
+                  "--max-iter", "6", "--out", str(out)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert not out.exists()
+    assert cli.main(["certify", inp, "--out", str(out)]) == \
+        cli.EXIT_INFEASIBLE
+    assert json.loads(out.read_text())["message"] == \
+        "no linear certificate at this alpha"
 
 
 RUN_DOC = {"f": {"type": "zero"}, "g": {"type": "box", "radius": 1.0},

@@ -342,42 +342,26 @@ def _lower_factor(m):
     return None if info else f
 
 
-def test_chol_lifts_only_after_a_failed_factor(monkeypatch):
-    lifts = []
+def test_chol_is_dpotrf_and_raises_where_it_fails(monkeypatch):
+    # on a PD matrix the factor is dpotrf's, byte for byte; on a singular or
+    # indefinite one _chol raises, with no eigenvalue taken either way
+    def banned(m):
+        raise AssertionError("eigvalsh called")
 
-    def recorded(m):
-        lifts.append(m)
-        return eigvalsh(m)
-
-    monkeypatch.setattr(sdpcore, "eigvalsh", recorded)
+    monkeypatch.setattr(sdpcore, "eigvalsh", banned)
     kinds = set()
     for m, kind in _helper_matrices(np.random.default_rng(13)):
         if kind == "nan":
             continue
-        del lifts[:]
         f = _lower_factor(m)
         assert (f is not None) == (kind == "pd")
         if f is None:
-            lift = max(0.0, 1e-14 - eigvalsh(m)[0])
-            f = _lower_factor(m + lift * np.eye(len(m)))
-        if f is None:
-            # the lift is too small for the rounding of a large matrix
             with pytest.raises(np.linalg.LinAlgError):
                 sdpcore._chol(m)
         else:
             assert sdpcore._chol(m).tobytes() == f.tobytes()
-            kinds.add(kind)
-        assert len(lifts) == (kind != "pd")
+        kinds.add(kind)
     assert kinds == {"pd", "singular", "indefinite"}
-
-
-def test_chol_refuses_a_matrix_its_lift_leaves_indefinite(monkeypatch):
-    # the eigenvalues claim a PD matrix, so no lift is made, and the factor
-    # breaks down again
-    monkeypatch.setattr(sdpcore, "eigvalsh", lambda m: np.ones(len(m)))
-    for m in (np.diag([1.0, -1.0, 2.0]), np.zeros((3, 3))):
-        with pytest.raises(np.linalg.LinAlgError):
-            sdpcore._chol(m)
 
 
 def test_dtrtri_inverts_the_factor():
@@ -443,9 +427,9 @@ def test_a_nan_in_the_loop_ends_numerical_failure(monkeypatch, bad_call):
         assert solve_sdp(prob).status == STATUS_NUMERICAL_FAILURE
 
 
-def test_loop_takes_eigenvalues_only_for_steps_rays_and_lifts(monkeypatch):
+def test_loop_takes_eigenvalues_only_for_steps_and_rays(monkeypatch):
     # the loop's factors come from dpotrf, so outside _steplen an eigenvalue
-    # is taken only for a projected ray (in _ipm) or a lift (in _chol)
+    # is taken only for a projected ray (in _ipm)
     callers = Counter()
 
     def recorded(m):
