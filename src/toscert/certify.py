@@ -24,6 +24,9 @@ from .lmikit import (RATE_E, RELAX_LIN, RegularityClass, build_dual_data,
 
 LAM_MIN = 1e-6
 LAM_MAX = 4.0
+# the largest entry a program may hold: the IPM's equilibration squares and
+# sums a row's entries, and 1e150 leaves that room below the float range
+PROGRAM_ENTRY_MAX = 1e150
 # alpha Lh at or above 4 - 2 LAM_MIN is refused: the line as an integer ratio
 _REFUSAL_NUM, _REFUSAL_DEN = (4 - 2 * Fraction(LAM_MIN)).as_integer_ratio()
 
@@ -153,7 +156,8 @@ def _program(c, coefs, rows, u=None, joint=False):
 
     With joint, y_2 is lam with coefs_2 = RELAX_LIN: its square enters
     through the Schur border eta(lam) with corner -1, and LAM_MIN <= lam <=
-    LAM_MAX come first on the diagonal.
+    LAM_MAX come first on the diagonal. Raises FloatingPointError when an
+    entry of c, of a block or of a row exceeds PROGRAM_ENTRY_MAX.
     """
     if joint:
         u = _bordered(u)
@@ -169,6 +173,8 @@ def _program(c, coefs, rows, u=None, joint=False):
     mats = [np.diag(np.concatenate([np.zeros(k), d])) for d in rows]
     for p, b in zip(mats, blocks):
         p[:k, :k] = b
+    if not all(np.abs(a).max() <= PROGRAM_ENTRY_MAX for a in (c, *mats)):
+        raise FloatingPointError("program data beyond the float range")
     return sdpcore.LinearSdp(c, mats[0], tuple(mats[1:]))
 
 
@@ -351,11 +357,15 @@ def linear_rate_value(alpha, classes, lam=None):
     diagonal. A pinned lam puts R(lam) in the constant; with lam=None, lam
     is a variable in [LAM_MIN, LAM_MAX] (the joint form of _program).
     Solved at sdpcore's default tolerances and iteration budget.
-    Returns (rho2, lam, sigma, status). Refused, before numpy can warn,
-    when alpha^2 overflows the Q_i or a pinned lam^2 overflows.
+    Returns (rho2, lam, sigma, status). Refused unless alpha and a pinned
+    lam are positive and finite, and, before numpy can warn, when alpha^2
+    overflows the Q_i, a pinned lam^2 overflows, or an entry of the
+    program exceeds PROGRAM_ENTRY_MAX.
     """
-    if not alpha > 0:
-        raise CertificationError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise CertificationError("alpha must be positive and finite")
+    if lam is not None and not 0 < lam < math.inf:
+        raise CertificationError("lam must be positive and finite")
     if not check_assumption1(classes):
         raise CertificationError("assumption1 violated")
     joint = lam is None
@@ -407,12 +417,15 @@ def audit(w, sigma, alpha, classes):
 def certify_linear_rate(alpha, classes, lam=None):
     """Linear-rate certificate rho2 < 1, jointly over lam unless pinned.
 
-    Refused when the program is infeasible, when 1 - rho2 is not above
-    sdpcore.DEFAULT_FEAS_TOL, when the audit margin of the rebuilt LMI
-    exceeds it, as for every producer, or when alpha^2 overflows the Q_i.
+    Refused where linear_rate_value refuses, when the program is
+    infeasible, when 1 - rho2 is not above sdpcore.DEFAULT_FEAS_TOL, when
+    the audit margin of the rebuilt LMI exceeds it, as for every producer,
+    or when the margin plus the audit's rounding bound exceeds it: the top
+    eigenvalue of M = W2 + sum sigma_i Q_i is computed to within a few eps
+    times the Frobenius norm of |W2| + sum |sigma_i| |Q_i| (finite sigma_i),
+    which large alpha^2 sigma_i can make exceed the features of W2 (Rump,
+    BIT 46, 2006); the bound taken is 16 eps times that norm.
     """
-    if lam is not None and not lam > 0:
-        raise CertificationError("lam must be positive")
     rho2, lam_out, sigma, status = linear_rate_value(alpha, classes, lam)
     if status == sdpcore.STATUS_INFEASIBLE:
         raise CertificationError("linear-rate program infeasible")
@@ -421,12 +434,20 @@ def certify_linear_rate(alpha, classes, lam=None):
         raise CertificationError("no linear certificate at this alpha")
     # W_O - rho2 W_I is W2 also at the rho2 <= 0 of a solve cut short
     w_o, w_i, _ = build_dual_data(lam_out)
-    margin = audit(w_o - rho2 * w_i, sigma, alpha, classes)
+    w2 = w_o - rho2 * w_i
+    margin = audit(w2, sigma, alpha, classes)
     # a solve cut short may stop at a rate its multipliers do not prove
     if margin > sdpcore.DEFAULT_FEAS_TOL:
         raise CertificationError(
             f"linear-rate program ended {status} and its LMI fails the audit"
             f" by {margin:.3g}")
+    qs = build_qc_triplet(alpha, classes.f, classes.g, classes.h)
+    rounding = 16 * np.finfo(float).eps * np.linalg.norm(abs(w2) + sum(
+        abs(s) * abs(q) for s, q in zip(sigma, qs) if math.isfinite(s)))
+    if margin + rounding > sdpcore.DEFAULT_FEAS_TOL:
+        raise CertificationError(
+            f"the float audit cannot resolve the linear-rate LMI: margin "
+            f"{margin:.3g} plus its rounding bound {rounding:.3g}")
     return RateCertificate(
         mode=MODE_LINEAR, alpha=alpha, lam=lam_out, sigma=sigma,
         margin=margin, provenance="sdp", rho2=rho2)
@@ -445,8 +466,13 @@ def dual_linear_rate(alpha, lam, classes, return_z=False):
     when the program is infeasible, when its data build overflows (alpha^2
     in the Q_i, even one the face drops, or lam^2), as the primal's does,
     when the solve's audit slack overflows, or when the slack exceeds
-    sdpcore.DEFAULT_FEAS_TOL, as a solve cut short leaves it.
+    sdpcore.DEFAULT_FEAS_TOL, as a solve cut short leaves it. alpha and
+    lam must be positive and finite.
     """
+    if not 0 < alpha < math.inf:
+        raise CertificationError("alpha must be positive and finite")
+    if not 0 < lam < math.inf:
+        raise CertificationError("lam must be positive and finite")
     if not check_assumption1(classes):
         raise CertificationError("assumption1 violated")
     try:

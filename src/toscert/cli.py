@@ -71,6 +71,15 @@ def _require_positive(name, values):
         raise ValueError(f"{name} must be positive and finite")
 
 
+def _holds_bool(value):
+    """Whether a JSON value holds true or false anywhere in it."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
+
+
 def _load_request(args):
     """Complete the options of a certify, sweep or run call from its document.
 
@@ -81,8 +90,9 @@ def _load_request(args):
     lambda, takes none) and problem classes, sweep its stepsizes, run its
     splitting oracle and settings;
     run's z0 must be a finite vector, h.matrix square of its size, and each
-    prox must apply to z0. --out must not name a directory. Raises one of
-    _BAD_INPUT.
+    prox must apply to z0. No field of any command is boolean, so the
+    document must hold no true or false. --out must not name a directory.
+    Raises one of _BAD_INPUT.
     """
     if args.out and os.path.isdir(args.out):
         raise IsADirectoryError(f"--out {args.out} is a directory")
@@ -90,6 +100,9 @@ def _load_request(args):
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("the input must be a JSON object")
+    if _holds_bool(doc):
+        raise ValueError("the input holds a JSON true or false, "
+                         "which is no field's value")
     if "alpha" in args and args.alpha is None:
         args.alpha = float(doc["alpha"])
     if args.lam is None and doc.get("lambda") is not None:

@@ -9,21 +9,21 @@ Cholesky Newton solves. The certificate LMIs have at most 11 rows (at
 most 7 beside their diagonal sign and bound rows) and at most 9
 variables, so a bespoke dense method is plenty.
 
-Every program takes one run of the loop, and no second solve is made. An
-infeasible one is refused when the run's own primal iterate gives a
-Farkas ray for the LMI (Vandenberghe and Boyd, SIAM Rev. 1996): a W >= 0
-with F0 . W > feas_tol tr W beside which every F_i . W is small. Since
-the sign rows are rows of the LMI, W covers them with no rule of their
-own. The ray is x projected onto {X : A_i . X = 0} along span(A_i), taken
-when its smallest eigenvalue is >= 0. "Small" is at most 1e-4 of F0 . W
-in the equilibrated units of the IPM, and the projection's A_i . X_p are
-zero up to rounding, so a refusal rules out every y of equilibrated
-1-norm below (-C . X_p) / max |A_i . X_p| >= 1e4, whatever the scale of
-the data. When x is nearly singular the projection can leave the cone;
-the run then goes on. `solve_sdp`'s slack audits every row, sign rows
-included. `feasibility_margin` stays as a public strict-feasibility
-oracle: it hands `solve_sdp` the program with one more variable t, so
-`_ipm` has one caller.
+Every program takes one run of the loop, at the constants DEFAULT_FEAS_TOL
+and DEFAULT_MAX_ITER, and no second solve is made. An infeasible one is
+refused when the run's own primal iterate gives a Farkas ray for the LMI
+(Vandenberghe and Boyd, SIAM Rev. 1996): a W >= 0 with F0 . W >
+DEFAULT_FEAS_TOL tr W beside which every F_i . W is small. The sign rows
+are rows of the LMI, so W covers them with no rule of their own. The ray
+is x projected onto {X : A_i . X = 0} along span(A_i), taken when its
+smallest eigenvalue is >= 0. "Small" is at most 1e-4 of F0 . W in the
+equilibrated units of the IPM, and the projection's A_i . X_p are zero up
+to rounding, so a refusal rules out every y of equilibrated 1-norm below
+(-C . X_p) / max |A_i . X_p| >= 1e4, whatever the scale of the data. When
+x is nearly singular the projection can leave the cone; the run then goes
+on. `solve_sdp`'s slack audits every row, sign rows included. The public
+strict-feasibility oracle `feasibility_margin` hands `solve_sdp` the
+program with one more variable t, so `_ipm` has one caller.
 
 At that size an iteration costs library calls more than arithmetic. Each
 iterate keeps the lower Cholesky factor from the dpotrf that accepted its
@@ -131,14 +131,15 @@ def _steplen(li, dx):
     return 1e6 if lam >= -1e-14 else -1.0 / lam
 
 
-def _ipm(c, f0, fs, feas_tol, gap_tol, max_iter):
-    """Core predictor-corrector loop; returns (y, iters, pres, dres, gap, tag).
+def _ipm(c, f0, fs, gap_tol):
+    """The predictor-corrector loop: (y, iters, pres, dres, gap, status).
 
     y and the residuals are those of the best iterate seen; iters is the
-    number of iterations run. tag is "converged", "stall", "maxiter", or
-    the status of a decided end: STATUS_INFEASIBLE (x is a Farkas ray) or
-    STATUS_NUMERICAL_FAILURE.
+    number of iterations run. status is optimal (converged), infeasible (x
+    is a Farkas ray), numericalFailure, or maxIterations (31 iterations
+    without improvement on the best, or DEFAULT_MAX_ITER run out).
     """
+    feas_tol = DEFAULT_FEAS_TOL
     m = len(fs)
     n = f0.shape[0]
     b = -np.asarray(c, float)
@@ -177,10 +178,10 @@ def _ipm(c, f0, fs, feas_tol, gap_tol, max_iter):
     bn = 1.0 + _norm(b)
     cn = 1.0 + _norm(cmat)
     best = None
-    tag = "maxiter"
+    status = STATUS_MAX_ITERATIONS
     noimp = 0
     restarts = 0
-    for it in range(max_iter):
+    for it in range(DEFAULT_MAX_ITER):
         ax = avec @ x.ravel()
         rp = b - ax
         rd = cmat - (y @ avec).reshape(n, n) - z
@@ -196,7 +197,7 @@ def _ipm(c, f0, fs, feas_tol, gap_tol, max_iter):
         else:
             noimp += 1
         if pres < feas_tol and dres < feas_tol and gap < gap_tol:
-            tag = "converged"
+            status = STATUS_OPTIMAL
             break
         # the ray: X_p = x - sum u_i A_i, with A X_p = 0 up to rounding. It
         # proves infeasibility when W = D X_p D >= 0, D = diag(deq), has
@@ -211,10 +212,9 @@ def _ipm(c, f0, fs, feas_tol, gap_tol, max_iter):
             if (-cscale * cxp > feas_tol * (deq2 @ xp.diagonal())
                     and np.abs(avec @ xp.ravel()).max() <= 1e-4 * -cxp
                     and eigvalsh(xp)[0] >= 0):
-                tag = STATUS_INFEASIBLE
+                status = STATUS_INFEASIBLE
                 break
         if noimp > 30:
-            tag = "stall"
             break
         try:
             # one lower factor per iterate, kept from the step that made it;
@@ -247,11 +247,8 @@ def _ipm(c, f0, fs, feas_tol, gap_tol, max_iter):
             mu_aff = np.vdot(x + ap * dx_a, z + ad * dz_a) / n
             sigma = min(max((max(mu_aff, 0.0) / mu) ** 3, 1e-10), 1.0)
             dy, dx, dz = newton(sigma * mu, dz_a @ dx_a)
-            ap, x, fx = _step(x, dx, min(0.98 * _steplen(lx, dx), 1.0))
+            _, x, fx = _step(x, dx, min(0.98 * _steplen(lx, dx), 1.0))
             ad, z, fz = _step(z, dz, min(0.98 * _steplen(lz, dz), 1.0))
-            if ap <= 1e-12 and ad <= 1e-12:
-                tag = "stall"
-                break
             y = y + ad * dy
             # centrality recovery: if mu collapsed far below the duality gap
             # the iterate is jammed on the boundary; lift it back toward the
@@ -265,49 +262,42 @@ def _ipm(c, f0, fs, feas_tol, gap_tol, max_iter):
                 fx = fz = None
                 restarts += 1
         except np.linalg.LinAlgError:
-            tag = STATUS_NUMERICAL_FAILURE
+            status = STATUS_NUMERICAL_FAILURE
             break
     else:
-        it = max_iter
+        it = DEFAULT_MAX_ITER
     # a break at loop index it comes after it iterations
     err, yb, pres, dres, gap = best
-    return yb * cscale / s, it, pres, dres, gap, tag
+    return yb * cscale / s, it, pres, dres, gap, status
 
 
-def solve_sdp(problem, feas_tol=DEFAULT_FEAS_TOL, gap_tol=DEFAULT_GAP_TOL,
-              max_iter=DEFAULT_MAX_ITER):
+def solve_sdp(problem, gap_tol=DEFAULT_GAP_TOL):
     """Solve a LinearSdp; the reported slack is an independent eigenvalue audit.
 
-    One IPM run decides the status: `optimal` when it converges and the
-    audit passes, `infeasible` when its primal iterate, projected onto the
-    null space of the constraints, is a Farkas ray for the LMI,
-    `numericalFailure` when its Newton system breaks down or F(y) overflows
-    the float range (slack inf), and `maxIterations` otherwise. A ray rules
-    out each y of equilibrated 1-norm up to a bound that only rounding
-    sets, and at least 1e4 (see the module docstring).
+    gap_tol is the one setting; DEFAULT_FEAS_TOL and DEFAULT_MAX_ITER are
+    read at the call. One IPM run decides the status: `optimal` when it
+    converges and the audit passes, `infeasible` when its primal iterate,
+    projected onto the constraints' null space, is a Farkas ray for the
+    LMI, `numericalFailure` when its Newton system breaks down or F(y)
+    overflows the float range (slack inf), and `maxIterations` otherwise.
+    A ray rules out each y of equilibrated 1-norm up to a bound that only
+    rounding sets, and at least 1e4 (see the module docstring).
     """
-    if not (0 < feas_tol <= 1e-2 and 0 < gap_tol <= 1e-2):
-        raise ValueError("tolerances must lie in (0, 1e-2]")
-    if not max_iter >= 1:
-        raise ValueError("max_iter must be at least 1")
+    if not 0 < gap_tol <= 1e-2:
+        raise ValueError("gap_tol must lie in (0, 1e-2]")
     if problem.nvars == 0:
         slack = _audit_slack(problem.f0, (), np.zeros(0))
-        status = STATUS_OPTIMAL if slack <= feas_tol else STATUS_INFEASIBLE
-        return SdpSolution(status, np.zeros(0), 0.0, slack, 0)
-    y, iters, pres, dres, gap, tag = _ipm(
-        problem.objective, problem.f0, problem.fi, feas_tol, gap_tol,
-        max_iter)
+        return SdpSolution(STATUS_OPTIMAL if slack <= DEFAULT_FEAS_TOL
+                           else STATUS_INFEASIBLE, np.zeros(0), 0.0, slack, 0)
+    y, iters, pres, dres, gap, status = _ipm(
+        problem.objective, problem.f0, problem.fi, gap_tol)
     try:
         slack = _audit_slack(problem.f0, problem.fi, y)
     except ValueError:  # max_eig: F(y) overflows the float range
-        slack, tag = math.inf, STATUS_NUMERICAL_FAILURE
-    obj = float(problem.objective @ y)
-    if tag == "converged" and slack <= feas_tol:
-        status = STATUS_OPTIMAL
-    elif tag in (STATUS_INFEASIBLE, STATUS_NUMERICAL_FAILURE):
-        status = tag
-    else:
+        slack, status = math.inf, STATUS_NUMERICAL_FAILURE
+    if status == STATUS_OPTIMAL and not slack <= DEFAULT_FEAS_TOL:
         status = STATUS_MAX_ITERATIONS
+    obj = float(problem.objective @ y)
     return SdpSolution(status, y, obj, slack, iters, pres, dres, gap)
 
 
@@ -318,18 +308,16 @@ def _audit_slack(f0, fi, y):
     return max_eig(m)
 
 
-def feasibility_margin(f0, fi, feas_tol=DEFAULT_FEAS_TOL,
-                       gap_tol=DEFAULT_GAP_TOL, max_iter=DEFAULT_MAX_ITER):
+def feasibility_margin(f0, fi):
     """Largest t with f0 + sum y_i fi[i] + t I <= 0; strict feasibility oracle.
 
     Returns (t_star, y). A positive t_star certifies strict feasibility and
-    t_star < -feas_tol certifies infeasibility of the LMI.
+    t_star < -DEFAULT_FEAS_TOL certifies infeasibility of the LMI.
     """
     n = np.shape(f0)[0]
     c = np.zeros(len(fi) + 1)
     c[-1] = -1.0
-    sol = solve_sdp(LinearSdp(c, f0, tuple(fi) + (np.eye(n),)),
-                    feas_tol, gap_tol, max_iter)
+    sol = solve_sdp(LinearSdp(c, f0, tuple(fi) + (np.eye(n),)))
     return float(sol.y[-1]), sol.y[:-1]
 
 

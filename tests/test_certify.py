@@ -1,5 +1,6 @@
 """Tests for certificate producers, duals, sweeps, and empirical checks."""
 
+import itertools
 import math
 import os
 import sys
@@ -822,34 +823,54 @@ def test_linear_rate_infeasible_stepsize():
         certify_linear_rate(3.0, STRONG_G, lam=0.0)
 
 
-@pytest.mark.parametrize("alpha, classes, tol, max_iter", [
-    (50.0, STRONG_G, sdpcore.DEFAULT_FEAS_TOL, 1),
-    (50.0, STRONG_G, sdpcore.DEFAULT_FEAS_TOL, 2),
-    (50.0, STRONG_G, sdpcore.DEFAULT_FEAS_TOL, 3),
-    (9.085175756516872, STRONG_G, 1e-2, 6),
-    (0.013894954943731374, STRONG_F_EQUAL, 1e-2, 3)],
+@pytest.mark.parametrize("alpha, classes, max_iter", [
+    (50.0, STRONG_G, 1),
+    (50.0, STRONG_G, 2),
+    (50.0, STRONG_G, 3),
+    (9.085175756516872, STRONG_G, 6),
+    (0.013894954943731374, STRONG_F_EQUAL, 3)],
     ids=["1", "2", "3", "d-loose", "e-loose"])
-def test_linear_rate_refuses_a_cut_solve(monkeypatch, alpha, classes, tol,
+def test_linear_rate_refuses_a_cut_solve(monkeypatch, alpha, classes,
                                          max_iter):
-    # cut short, or converged only to loose tolerances, the solve stops at a
-    # rho2 < 1 that its multipliers do not prove: the audit, gated on the
-    # default feasibility tolerance, refuses it. The two loose solves end
-    # with margins 8.5e-3 and 9.2e-3, inside their own tolerance
-    solve = sdpcore.solve_sdp
-    monkeypatch.setattr(sdpcore, "solve_sdp", lambda prob: solve(
-        prob, tol, tol, max_iter))
+    # cut short, the solve stops at a rho2 < 1 that its multipliers do not
+    # prove: the audit, gated on the default feasibility tolerance, refuses
+    # it. The two loose cuts end with margins 1.9e-4 and 9.2e-3
+    monkeypatch.setattr(sdpcore, "DEFAULT_MAX_ITER", max_iter)
     with pytest.raises(CertificationError, match="fails the audit"):
         certify_linear_rate(alpha, classes)
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 3])
 def test_dual_refuses_a_cut_solve(monkeypatch, max_iter):
-    # cut short, the dual solve leaves an audit slack above feas_tol: no value
-    solve = sdpcore.solve_sdp
-    monkeypatch.setattr(sdpcore, "solve_sdp", lambda prob: solve(
-        prob, max_iter=max_iter))
+    # cut short, the dual solve leaves an audit slack above
+    # DEFAULT_FEAS_TOL: no value
+    monkeypatch.setattr(sdpcore, "DEFAULT_MAX_ITER", max_iter)
     with pytest.raises(CertificationError, match="fails its audit by"):
         dual_linear_rate(0.2, 0.5, STRONG_G)
+
+
+def _linear_set(name):
+    """The classes of one of linear-duality's sets a-f."""
+    from perfbench import workloads
+    return _cls(*itertools.chain(*workloads.LINEAR_SETS[name][0]))
+
+
+def test_dual_goes_on_past_a_first_step_below_1e_12(monkeypatch):
+    # at lam = 1e6 the dual's first primal and dual steps are about 1e-22
+    # and 1e-24 long. Such steps do not end the run: the loop goes on from
+    # there and ends optimal, at the rate of the primal
+    classes = _linear_set("b")
+    step, steps = sdpcore._step, []
+    def recorded(*args):
+        out = step(*args)
+        steps.append(out[0])
+        return out
+    monkeypatch.setattr(sdpcore, "_step", recorded)
+    dual = dual_linear_rate(200.0, 1e6, classes)
+    assert max(steps[:2]) <= 1e-12
+    rho2, _, _, status = linear_rate_value(200.0, classes, 1e6)
+    assert status == sdpcore.STATUS_OPTIMAL
+    assert abs(dual - rho2) <= 1e-9 * rho2
 
 
 @pytest.mark.parametrize("alpha, lam", [
@@ -865,6 +886,80 @@ def test_dual_refuses_overflow_as_the_primal_does(alpha, lam):
             dual_linear_rate(alpha, lam, STRONG_F_EQUAL)
         with pytest.raises(CertificationError, match="overflows here"):
             certify_linear_rate(alpha, STRONG_F_EQUAL, lam)
+
+
+def _quadratic_step_ratio(alpha, lam, classes):
+    """The largest exact ||z+||^2 / ||z||^2 of one tos_step on the 1-D
+    quadratics c x^2 / 2, each c at an end of its class (c = inf: the
+    indicator of 0, whose prox is 0). Each is in its class, so every
+    linear rate at (alpha, lam) is at least this ratio."""
+    a, lam = F(alpha), F(lam)
+    def prox(c):  # prox of alpha c x^2 / 2 as a factor
+        return 0 if math.isinf(c) else 1 / (1 + a * F(c))
+    ratios = []
+    for cf, cg, ch in itertools.product(*((c.m, c.L) for c in (
+            classes.f, classes.g, classes.h))):
+        x_b = prox(cg)
+        x_a = prox(cf) * (2 * x_b - 1 - a * F(ch) * x_b)
+        ratios.append((1 + lam * (x_a - x_b)) ** 2)
+    return max(ratios)
+
+
+@pytest.mark.parametrize("name", "abcdef")
+def test_linear_rates_are_not_beaten_by_quadratics(name):
+    # at large alpha the rounding of the audit's eigenvalue exceeds the
+    # features of W2, and the float margin alone passes false certificates
+    # (on set c at alpha = 1e11 it passes rho2 = 6e-11, where a quadratic
+    # contracts by 1 - 3.5e-12): every rate issued must be at least a
+    # quadratic's
+    classes = _linear_set(name)
+    for k in range(3, 21):
+        try:
+            cert = certify_linear_rate(10.0 ** k, classes)
+        except CertificationError:
+            continue
+        assert F(cert.rho2) >= _quadratic_step_ratio(
+            cert.alpha, cert.lam, classes), k
+
+
+@pytest.mark.parametrize("producer, alpha, lam, match", [
+    ("dual", 0.0, 0.5, "alpha"), ("dual", -0.2, 0.5, "alpha"),
+    ("dual", math.nan, 0.5, "alpha"), ("dual", math.inf, 0.5, "alpha"),
+    ("dual", 0.2, 0.0, "lam"), ("dual", 0.2, -0.5, "lam"),
+    ("dual", 0.2, math.nan, "lam"), ("dual", 0.2, math.inf, "lam"),
+    ("value", 0.2, math.nan, "lam"), ("value", 0.2, 0.0, "lam"),
+    ("value", 0.2, math.inf, "lam"), ("value", math.nan, None, "alpha"),
+    ("value", math.inf, None, "alpha"), ("certify", 0.0, None, "alpha"),
+    ("certify", 0.2, math.nan, "lam")])
+def test_linear_path_refuses_a_bad_stepsize_or_lambda(producer, alpha, lam,
+                                                      match):
+    # alpha and a pinned lam must be positive and finite: a refusal before
+    # any solve, not a ValueError from the data build or a solve at lam = 0
+    call = {"dual": lambda: dual_linear_rate(alpha, lam, STRONG_G),
+            "value": lambda: linear_rate_value(alpha, STRONG_G, lam),
+            "certify": lambda: certify_linear_rate(alpha, STRONG_G, lam)}
+    with pytest.raises(CertificationError,
+                       match=f"{match} must be positive and finite"):
+        call[producer]()
+
+
+@pytest.mark.parametrize("name, alpha, lam", [
+    ("b", 1e154, 1e150), ("d", 1e80, 0.5), ("d", 1e120, 0.5),
+    ("d", 1e150, 0.5), ("d", 1e154, 0.5), ("d", 0.2, 1e150)])
+def test_linear_programs_stay_in_the_float_range(name, alpha, lam):
+    # a program entry above 1e150 is refused before the IPM's equilibration
+    # can square it past the float range: no numpy warning from sdpcore, and
+    # no certificate (solved from overflowed data, set b at 1e154 gives
+    # rho2 = 7.8e-17, where a quadratic in its classes contracts by 0.9999)
+    classes = _linear_set(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CertificationError, match="^linear-rate program "
+                           "overflows here$"):
+            certify_linear_rate(alpha, classes, lam)
+        with pytest.raises(CertificationError,
+                           match="^dual program overflows here$"):
+            dual_linear_rate(alpha, lam, classes)
 
 
 def test_linear_rate_requires_assumption():

@@ -292,6 +292,22 @@ def test_malformed_input_exit_code(tmp_path, capsys, command, doc, opts):
         assert json.load(fh)["error"] == "badInput"
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("run", dict(RUN_DOC, max_iter=True)),
+    ("certify", dict(LINEAR_DOC, alpha=True)),
+    ("certify", dict(LINEAR_DOC, g={"m": True, "L": 10}))],
+    ids=["run-max-iter-true", "certify-alpha-true", "certify-m-true"])
+def test_json_booleans_are_malformed(tmp_path, capsys, command, doc):
+    # no field of any command is boolean; Python reads true as the integer
+    # 1, so these ran one step, certified at alpha = 1 and took m = 1
+    inp = _write(tmp_path / "in.json", doc)
+    out = tmp_path / "out"
+    assert cli.main([command, inp, "--out", str(out)]) == cli.EXIT_BAD_INPUT
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "badInput" and "true or false" in err["message"]
+    assert json.loads(out.read_text()) == err  # the error alone, no result
+
+
 def test_affine_subspace_with_nan_is_malformed(tmp_path, capsys):
     doc = dict(RUN_DOC, g={"type": "affineSubspace", "a": [[math.nan]],
                            "b": [1.0]})
