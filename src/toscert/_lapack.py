@@ -1,4 +1,9 @@
-"""The one place toscert takes LAPACK from: scipy's compiled `_flapack`.
+"""Where toscert takes LAPACK from: scipy's compiled `_flapack`.
+
+Every LAPACK call of the certificate code, the proxes and the dynamics
+projection comes from here. `lqrdemo`'s instance set-up does not: it
+scales A by `numpy.linalg.eigvals` and takes L_h from
+`numpy.linalg.norm(., 2)`, which run numpy's own LAPACK build.
 
 The module loads the extension `scipy/linalg/_flapack` by itself, under
 its own name `scipy.linalg._flapack` (or takes that entry of sys.modules

@@ -185,42 +185,40 @@ def _horner(coefs, x):
     return value
 
 
-def _horner_slope(coefs, x):
-    """The value and the derivative of a polynomial at x in one Horner pass;
-    the value is bitwise _horner's."""
-    value = slope = 0.0
-    for c in coefs:
-        slope = slope * x + value
-        value = value * x + c
-    return value, slope
-
-
 def _roots_between(coefs, lo, hi):
     """The roots in (lo, hi) where a polynomial (highest power first) changes
     sign; one at most lies between two of its derivative's, and degree 1 is
     solved outright. Newton, kept in each bracket [a, b] whose ends differ in
     sign (rtsafe): x replaces the end of its sign, so the root stays in
     [a, b], and a step that leaves (a, b) or is not half the one two before
-    bisects. A step below 4 ulps ends it."""
+    bisects. A step below 4 ulps ends it. Values and slopes are _horner's
+    recurrence written out; each end is evaluated once."""
     n = len(coefs) - 1
     if n == 1:
         x = -coefs[1] / coefs[0]
         return [x] if lo < x < hi else []
     slope = [c * (n - i) for i, c in enumerate(coefs[:-1])]
-    ends = [lo, *_roots_between(slope, lo, hi), hi]
-    values = [_horner(coefs, x) for x in ends]
-    roots = []
-    for a, b, fa, fb in zip(ends, ends[1:], values, values[1:]):
+    a, fa, roots = lo, 0.0, []
+    for c in coefs:
+        fa = fa * a + c
+    for b in [*_roots_between(slope, lo, hi), hi]:
+        fb = 0.0
+        for c in coefs:
+            fb = fb * b + c
         if fa * fb < 0:
-            x, last, older = 0.5 * (a + b), b - a, b - a
-            while a < x < b and last > 4 * math.ulp(x):
-                fx, d = _horner_slope(coefs, x)
-                a, b = (x, b) if (fx < 0) == (fa < 0) else (a, x)
+            u, v, x, last, older = a, b, 0.5 * (a + b), b - a, b - a
+            while u < x < v and last > 4 * math.ulp(x):
+                fx = d = 0.0
+                for c in coefs:
+                    d = d * x + fx
+                    fx = fx * x + c
+                u, v = (x, v) if (fx < 0) == (fa < 0) else (u, x)
                 step = fx / d if d else math.inf
-                if step and not (a < x - step < b and 2 * abs(step) <= older):
-                    step = x - 0.5 * (a + b)
+                if step and not (u < x - step < v and 2 * abs(step) <= older):
+                    step = x - 0.5 * (u + v)
                 x, last, older = x - step, abs(step), last
             roots.append(x)
+        a, fa = b, fb
     return roots
 
 
@@ -232,8 +230,8 @@ def _smallest_root(c3, c2, c1, c0):
     p, q = c - b * b / 3, (2 * b * b - 9 * c) * b / 27 + d
     r = math.sqrt(max(-p / 3, 0.0))
     phi = math.acos(max(-1.0, min(1.0, -q / (2 * r) / r / r))) if r else 0.0
-    t3, t2 = (2 * r * math.cos((phi - 2 * math.pi * k) / 3) - b / 3
-              for k in (0, 1))
+    t3 = 2 * r * math.cos(phi / 3) - b / 3
+    t2 = 2 * r * math.cos((phi - 2 * math.pi) / 3) - b / 3
     t = -d / (t3 * t2) if t3 * t2 > 0 else 0.0
     slope = (3 * c3 * t + 2 * c2) * t + c1
     return t - _horner((c3, c2, c1, c0), t) / slope if t and slope > 0 else t
@@ -241,15 +239,16 @@ def _smallest_root(c3, c2, c1, c0):
 
 def _closed_form(mode, alpha, classes, rate, lmi):
     """The certificate of (theta, lam) = rate(), lmi(theta, lam) = (W, every
-    sigma_i), or a refusal, also where a float step leaves the float range."""
+    sigma_i), or a refusal, also where a float step leaves the float range,
+    divides by zero or forms NaN (-1/L_h = -inf makes the audit's Q_i NaN)."""
     try:
         theta, lam = rate()
         if not theta > 0:
             raise CertificationError(f"no positive theta: rounds to {theta}")
-        w, s = lmi(theta, lam)
-        if not (math.isfinite(s) and np.isfinite(w).all()):
-            raise OverflowError
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            w, s = lmi(theta, lam)
+            if not (math.isfinite(s) and np.isfinite(w).all()):
+                raise OverflowError
             margin = audit(w, (s, s, s), alpha, classes)
     except (OverflowError, ZeroDivisionError, FloatingPointError):
         raise CertificationError("closed form overflows or underflows here")
@@ -402,11 +401,12 @@ def audit(w, sigma, alpha, classes):
     class with m != L it proves nothing, and the margin is inf.
     """
     qs = build_qc_triplet(alpha, classes.f, classes.g, classes.h)
+    finite = [math.isfinite(s) for s in sigma]
     m = w
-    for s, q in zip(sigma, qs):
-        if math.isfinite(s):
+    for s, q, ok in zip(sigma, qs, finite):
+        if ok:
             m = m + s * q
-    if not all(math.isfinite(s) for s in sigma):
+    if not all(finite):
         keep, u = _face(alpha, classes)
         if any(math.isinf(sigma[i]) for i in keep):
             return math.inf

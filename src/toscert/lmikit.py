@@ -10,8 +10,9 @@ and the data of the dual rate program. `certify` assembles its programs,
 rates and audits from these and keeps no copy. All builders are pure
 functions of their arguments. `max_eig`, LAPACK's top eigenvalue, is the
 audit margin of every certificate, taken on the 4x4 LMI W + sum sigma_i Q_i.
-`eigvalsh` is the one eigenvalue routine of the package: `max_eig` and
-the IPM loop both call it.
+`eigvalsh` is the one eigenvalue routine of the certificate code: `max_eig`
+and the IPM loop both call it (`lqrdemo`'s instance set-up takes its own
+from numpy.linalg).
 """
 
 import math
@@ -65,11 +66,6 @@ def _qc_entries(cls):
     if math.isinf(L):
         return [-m, 0.5, 0.5, 0.0]
     return [-m * L / (m + L), 0.5, 0.5, -1.0 / (m + L)]
-
-
-def qc_base(cls):
-    """The 2x2 quadratic-constraint matrix Q(m, L), entries _qc_entries."""
-    return np.array(_qc_entries(cls)).reshape(2, 2)
 
 
 def _selectors(alpha):

@@ -32,8 +32,10 @@ refused step); dtrtri inverts it, Z^-1 = L_z^-T L_z^-1, and the Newton
 system and the four step lengths share these. Eigenvalues are taken only
 for step lengths and the projected ray. The loop takes LAPACK from
 `toscert._lapack` alone (scipy's `_flapack`, the objects
-`scipy.linalg.lapack` exposes), never from numpy.linalg, so one LAPACK
-build decides every result.
+`scipy.linalg.lapack` exposes), never from numpy.linalg, so every solve
+runs one LAPACK build. The build does not fix the bits alone: OpenBLAS
+dispatches its kernels for the CPU at run time, and another kernel
+(OPENBLAS_CORETYPE=Haswell) changes the bits of most solves.
 """
 
 import math

@@ -194,6 +194,36 @@ def test_objective_rate_validation():
             certify_objective_rate(*point)
 
 
+# 23 magnitudes from the least subnormal to near the largest float
+FLOAT_SCAN = (5e-324, 1e-300, 1e-200, 1e-160, 1e-100, 1e-50, 1e-20, 1e-8,
+              1e-3, 0.1, 0.5, 1.0, 2.0, 10.0, 1e3, 1e8, 1e20, 1e50, 1e100,
+              1e160, 1e200, 1e300, 1.7e308)
+
+
+def test_closed_forms_issue_or_refuse_across_the_float_range():
+    # alpha x Lf x Lh for the objective and alpha x lam x Lh for the
+    # residual: each call issues or raises CertificationError, with no
+    # numpy warning; -1/Lh = -inf at Lh = 5e-324 makes the audit's (S^T Q) S
+    # form inf * 0 = NaN, and an overflow in W1 warned before its refusal
+    issued = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, lf, lh in itertools.product(FLOAT_SCAN, repeat=3):
+            try:
+                certify_objective_rate(alpha, lf, lh)
+                issued += 1
+            except CertificationError:
+                pass
+        for alpha, lam, lh in itertools.product(
+                FLOAT_SCAN, (1e-6, 0.5, 1.0, 1.9, 3.0), FLOAT_SCAN):
+            try:
+                certify_residual_rate(alpha, lam, certify._case1_classes(lh))
+                issued += 1
+            except CertificationError:
+                pass
+    assert issued == 620 + 195
+
+
 @pytest.mark.parametrize("alpha, lam, lh", [
     (1e-20, 0.5, 1e-300), (1e100, 1e10, 1.0), (1.0, 1e10, 1e300),
     (1e300, None, 1e300)])
@@ -562,6 +592,89 @@ def test_smallest_root_keeps_its_relative_accuracy(scale):
         assert abs(F(got) - _exact_root_near(coefs, tiny * scale)) \
             <= F(1, 10 ** 14) * F(got), (scale, tiny)
         assert not certify._smallest_root(*coefs[:3], 0.0) > 0
+
+
+def _reference_horner_slope(coefs, x):
+    value = slope = 0.0
+    for c in coefs:
+        slope = slope * x + value
+        value = value * x + c
+    return value, slope
+
+
+def _reference_roots_between(coefs, lo, hi):
+    """certify._roots_between with a Horner call for each value and slope
+    and each end evaluated in a list: the reference for the inline one."""
+    n = len(coefs) - 1
+    if n == 1:
+        x = -coefs[1] / coefs[0]
+        return [x] if lo < x < hi else []
+    slope = [c * (n - i) for i, c in enumerate(coefs[:-1])]
+    ends = [lo, *_reference_roots_between(slope, lo, hi), hi]
+    values = [certify._horner(coefs, x) for x in ends]
+    roots = []
+    for a, b, fa, fb in zip(ends, ends[1:], values, values[1:]):
+        if fa * fb < 0:
+            x, last, older = 0.5 * (a + b), b - a, b - a
+            while a < x < b and last > 4 * math.ulp(x):
+                fx, d = _reference_horner_slope(coefs, x)
+                a, b = (x, b) if (fx < 0) == (fa < 0) else (a, x)
+                step = fx / d if d else math.inf
+                if step and not (a < x - step < b and 2 * abs(step) <= older):
+                    step = x - 0.5 * (a + b)
+                x, last, older = x - step, abs(step), last
+            roots.append(x)
+    return roots
+
+
+def _reference_smallest_root(c3, c2, c1, c0):
+    """certify._smallest_root with t3 and t2 from one generator over k."""
+    b, c, d = c2 / c3, c1 / c3, c0 / c3
+    p, q = c - b * b / 3, (2 * b * b - 9 * c) * b / 27 + d
+    r = math.sqrt(max(-p / 3, 0.0))
+    phi = math.acos(max(-1.0, min(1.0, -q / (2 * r) / r / r))) if r else 0.0
+    t3, t2 = (2 * r * math.cos((phi - 2 * math.pi * k) / 3) - b / 3
+              for k in (0, 1))
+    t = -d / (t3 * t2) if t3 * t2 > 0 else 0.0
+    slope = (3 * c3 * t + 2 * c2) * t + c1
+    return t - certify._horner((c3, c2, c1, c0), t) / slope \
+        if t and slope > 0 else t
+
+
+def test_objective_roots_are_the_reference_bit_for_bit():
+    # q's roots in (LAM_MIN, lam_R) and the smallest root of each candidate
+    # lam's cubic, in hex against the references: at every objective-surface
+    # point of seeds 0-3 that the refusal line keeps, and at 10,000 seeded
+    # draws log-uniform in alpha in (e^-8, e^3) and Lf, Lh in (e^-5, e^5)
+    # with alpha Lh < 3.9
+    from perfbench import workloads
+    bound = 4 - 2 * F(certify.LAM_MIN)
+    points = [p for seed in (0, 1, 2, 3)
+              for p in workloads.ObjectiveSurface(seed).points
+              if F(p[0]) * F(p[2]) < bound]
+    rng = np.random.default_rng(0)
+    drawn = 0
+    while drawn < 10000:
+        alpha, lf, lh = np.exp(rng.uniform((-8, -5, -5), (3, 5, 5)))
+        if alpha * lh < 3.9:
+            points.append((float(alpha), float(lf), float(lh)))
+            drawn += 1
+    roots = 0
+    for alpha, lf, lh in points:
+        coefs = certify.objective_quintic(alpha, lf, lh)
+        lam_r = 2 - alpha * lh / 2
+        got = certify._roots_between(coefs, certify.LAM_MIN, lam_r)
+        ref = _reference_roots_between(coefs, certify.LAM_MIN, lam_r)
+        assert [x.hex() for x in got] == [x.hex() for x in ref], \
+            (alpha, lf, lh)
+        h_hi, h_lo = certify._split_below_line(alpha, lh)
+        for lam in (certify.LAM_MIN, *got):
+            cubic = objective_cubic(alpha, lf, lh, lam,
+                                    math.fsum((h_hi, h_lo, 2 * lam, -4.0)))
+            assert certify._smallest_root(*cubic).hex() == \
+                _reference_smallest_root(*cubic).hex(), (alpha, lf, lh, lam)
+        roots += len(got)
+    assert len(points) == 11112 and roots > 0
 
 
 def _exact_root_near(coefs, guess):

@@ -99,13 +99,18 @@ RESIDUAL_DOC = {
          **{"lambda": 0.5}),
     dict(LINEAR_DOC, alpha=1e200),
     dict(LINEAR_DOC, **{"lambda": 1e200}),
-], ids=["objective", "residual", "linear", "linear-lambda"])
+    dict(OBJECTIVE_DOC, alpha=1e8, f={"m": 0, "L": 1},
+         h={"m": 0, "L": 5e-324}),
+    dict(RESIDUAL_DOC, alpha=1e8, h={"m": 0, "L": 5e-324}),
+], ids=["objective", "residual", "linear", "linear-lambda", "objective-nan",
+        "residual-nan"])
 @pytest.mark.filterwarnings("error")
 def test_certify_refuses_data_beyond_the_float_range(tmp_path, doc):
     # alpha^2 L_h underflows to a zero divisor (objective), sigma Q_i
     # overflows in the audit (residual), alpha^2 overflows in the Q_i
-    # (linear) or lambda^2 in R(lambda) (linear-lambda): a refusal, not a
-    # traceback, and no numpy warning before it
+    # (linear) or lambda^2 in R(lambda) (linear-lambda), or -1/L_h = -inf
+    # makes the audit's Q_i NaN (objective-nan, residual-nan): a refusal,
+    # not a traceback, and no numpy warning before it
     inp = _write(tmp_path / "in.json", doc)
     out = str(tmp_path / "err.json")
     assert cli.main(["certify", inp, "--out", out]) == cli.EXIT_INFEASIBLE
@@ -113,6 +118,21 @@ def test_certify_refuses_data_beyond_the_float_range(tmp_path, doc):
         err = json.load(fh)
     assert err["error"] == "infeasible"
     assert "overflows" in err["message"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_refuses_the_points_whose_audit_forms_nan(tmp_path):
+    # -1/L_h = -inf at every grid point: each refused with no numpy warning
+    # (the sweep's alpha is an np.float64, whose 1 / 0 warns)
+    doc = dict(OBJECTIVE_DOC, f={"m": 0, "L": 1}, h={"m": 0, "L": 5e-324},
+               grid=[1e-3, 1.0, 1e8])
+    inp = _write(tmp_path / "in.json", doc)
+    out = str(tmp_path / "err.json")
+    assert cli.main(["sweep", inp, "--out", out]) == cli.EXIT_INFEASIBLE
+    with open(out) as fh:
+        err = json.load(fh)
+    assert err == {"error": "infeasible",
+                   "message": "no feasible point on the alpha grid"}
 
 
 @pytest.mark.parametrize("doc, lam", [

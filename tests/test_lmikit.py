@@ -14,7 +14,7 @@ from toscert.lmikit import (KRON_DIM_CAP, RELAX_LIN, RELAX_P,
                             RegularityClass, build_dual_data,
                             build_qc_triplet, build_w0, build_w1, build_w2,
                             eigvalsh, eta_vector, kron_identity, max_eig,
-                            objective_cubic, objective_quintic, qc_base,
+                            objective_cubic, objective_quintic,
                             schur_extend, sym_check, w1_slope)
 from face_programs import FACE_FOLD, face_sigma
 from test_sdpcore import _exact_pd
@@ -35,21 +35,26 @@ def test_regularity_class_validation():
     assert RegularityClass(0.0, 5.0).smooth is True
 
 
+def _qc_base(cls):
+    """The 2x2 quadratic-constraint matrix Q(m, L) of lmikit's entries."""
+    return np.array(lmikit._qc_entries(cls)).reshape(2, 2)
+
+
 def test_qc_base_finite_example():
-    q = qc_base(RegularityClass(1.0, 2.0))
+    q = _qc_base(RegularityClass(1.0, 2.0))
     expect = np.array([[-2.0 / 3.0, 0.5], [0.5, -1.0 / 3.0]])
     assert np.allclose(q, expect, atol=1e-15)
 
 
 def test_qc_base_nonsmooth_limit():
-    q = qc_base(RegularityClass(1.0, math.inf))
+    q = _qc_base(RegularityClass(1.0, math.inf))
     assert np.allclose(q, [[-1.0, 0.5], [0.5, 0.0]], atol=1e-15)
-    q0 = qc_base(RegularityClass(0.0, math.inf))
+    q0 = _qc_base(RegularityClass(0.0, math.inf))
     assert np.allclose(q0, [[0.0, 0.5], [0.5, 0.0]], atol=1e-15)
 
 
 def test_qc_base_merely_smooth():
-    q = qc_base(RegularityClass(0.0, 4.0))
+    q = _qc_base(RegularityClass(0.0, 4.0))
     assert np.allclose(q, [[0.0, 0.5], [0.5, -0.25]], atol=1e-15)
 
 
@@ -61,14 +66,14 @@ def test_qc_nonnegative_on_gradient_pairs(m, gap, t, dx):
     L = m + gap
     q = m + t * (L - m)
     v = np.array([dx, q * dx])
-    base = qc_base(RegularityClass(m, L))
+    base = _qc_base(RegularityClass(m, L))
     val = v @ base @ v
     # exact form: dx^2 (q - m)(L - q)/(m + L)
     assert val >= -1e-9 * max(1.0, dx * dx)
 
 
 def test_qc_boundary_curvature_is_tight():
-    base = qc_base(RegularityClass(1.0, 3.0))
+    base = _qc_base(RegularityClass(1.0, 3.0))
     for q in (1.0, 3.0):
         v = np.array([2.0, 2.0 * q])
         assert abs(v @ base @ v) < 1e-12
@@ -85,7 +90,7 @@ def test_build_qc_triplet_shapes():
 
 def _sandwiches(alpha, f, g, h):
     """The reference: S_i^T Q(m, L) S_i, one product per class."""
-    return [s.T @ qc_base(c) @ s
+    return [s.T @ _qc_base(c) @ s
             for s, c in zip(lmikit._selectors(alpha), (g, h, f))]
 
 
